@@ -1,7 +1,9 @@
 // Full-dataset matching throughput on Restaurant (the CLI `match` /
-// `learn --match` scenario): the per-pair operator-tree path vs the
-// value-store compiled path (eval/value_store.h), with token blocking
-// and over the exhaustive cross product, at one worker thread.
+// `learn --match` scenario): a per-pair operator-tree baseline
+// (LinkageRule::Evaluate over the same candidates, in this file) vs
+// GenerateLinks, which scores through the value store
+// (eval/value_store.h), with token blocking and over the exhaustive
+// cross product, at one worker thread.
 //
 // Doubles as a CI gate: the two paths must produce bit-identical link
 // sets (ids, scores and order); any divergence exits non-zero.
@@ -11,8 +13,10 @@
 // `extra.speedup_vs_operator_tree` the machine-independent ratio the
 // tentpole is judged by (>= 5x at 1 thread on the blocking config).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,7 +34,7 @@ namespace {
 struct PathMeasurement {
   std::string system;
   bool use_blocking = true;
-  bool use_value_store = true;
+  bool operator_tree = false;
   double seconds = 0.0;
   size_t pairs = 0;
   std::vector<GeneratedLink> links;
@@ -55,6 +59,40 @@ LinkageRule MatchRule() {
     std::exit(1);
   }
   return std::move(rule).value();
+}
+
+// The operator-tree baseline: GenerateLinks' self-join (each pair once,
+// id_a < id_b, sorted by score, id_a, id_b) with every candidate pair
+// scored by LinkageRule::Evaluate, so transformations run per pair.
+// Candidates come from the same TokenBlockingIndex GenerateLinks
+// builds, and its build is timed here as it is there.
+std::vector<GeneratedLink> OperatorTreeSelfJoin(const LinkageRule& rule,
+                                                const Dataset& data,
+                                                const MatchOptions& options) {
+  std::unique_ptr<TokenBlockingIndex> index;
+  if (options.use_blocking) {
+    index = std::make_unique<TokenBlockingIndex>(data, TargetProperties(rule));
+  }
+  std::vector<GeneratedLink> links;
+  for (const Entity& a : data.entities()) {
+    auto consider = [&](size_t j) {
+      const Entity& b = data.entity(j);
+      if (a.id() >= b.id()) return;
+      const double score = rule.Evaluate(a, b, data.schema(), data.schema());
+      if (score >= options.threshold) links.push_back({a.id(), b.id(), score});
+    };
+    if (index != nullptr) {
+      for (size_t j : index->Candidates(a, data.schema())) consider(j);
+    } else {
+      for (size_t j = 0; j < data.size(); ++j) consider(j);
+    }
+  }
+  std::sort(links.begin(), links.end(), [](const auto& x, const auto& y) {
+    if (x.score != y.score) return x.score > y.score;
+    if (x.id_a != y.id_a) return x.id_a < y.id_a;
+    return x.id_b < y.id_b;
+  });
+  return links;
 }
 
 bool SameLinks(const std::vector<GeneratedLink>& x,
@@ -95,21 +133,22 @@ int main() {
   // millisecond-long join are too noisy for the CI ratio gate.
   const size_t reps = 3;
   std::vector<PathMeasurement> runs = {
-      {"matcher/operator-tree/blocking", true, false},
-      {"matcher/value-store/blocking", true, true},
-      {"matcher/operator-tree/cross", false, false},
-      {"matcher/value-store/cross", false, true},
+      {"matcher/operator-tree/blocking", true, true},
+      {"matcher/value-store/blocking", true, false},
+      {"matcher/operator-tree/cross", false, true},
+      {"matcher/value-store/cross", false, false},
   };
   for (PathMeasurement& run : runs) {
     MatchOptions options;
     options.use_blocking = run.use_blocking;
-    options.use_value_store = run.use_value_store;
     options.num_threads = 1;
     run.pairs = run.use_blocking ? blocked_pairs : cross_pairs;
     double best = 0.0;
     for (size_t r = 0; r < reps; ++r) {
       auto start = std::chrono::steady_clock::now();
-      auto links = GenerateLinks(rule, task.a, task.a, options);
+      auto links = run.operator_tree
+                       ? OperatorTreeSelfJoin(rule, task.a, options)
+                       : GenerateLinks(rule, task.a, task.a, options);
       double elapsed = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)
                            .count();
@@ -136,7 +175,7 @@ int main() {
 
   auto operator_tree_seconds = [&](bool use_blocking) {
     for (const PathMeasurement& run : runs) {
-      if (run.use_blocking == use_blocking && !run.use_value_store) {
+      if (run.use_blocking == use_blocking && run.operator_tree) {
         return run.seconds;
       }
     }
@@ -168,7 +207,7 @@ int main() {
 
   for (bool blocking : {true, false}) {
     for (const PathMeasurement& run : runs) {
-      if (run.use_blocking == blocking && run.use_value_store &&
+      if (run.use_blocking == blocking && !run.operator_tree &&
           run.seconds > 0.0) {
         std::printf("value-store speedup (%s): %.2fx\n",
                     blocking ? "blocking" : "cross",

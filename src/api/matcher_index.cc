@@ -80,15 +80,14 @@ struct MatcherIndex::Corpus {
   /// the value store. Immutable, so none of its state needs the mutex.
   std::shared_ptr<const MappedCorpus> mapped;
   mutable WriterPriorityMutex mutex;
-  /// Null when use_value_store is off. The pointer itself is set once
-  /// at Build before the corpus is shared; the pointee is guarded.
+  /// Null only for a mapped corpus. The pointer itself is set once at
+  /// Build before the corpus is shared; the pointee is guarded.
   std::unique_ptr<ValueStore> store GENLINK_PT_GUARDED_BY(mutex);
   /// Blocking indexes over `target`, keyed by the (sorted) property
   /// list they index plus the option knobs that change the postings
-  /// (max tokens, min df, shard count) — rules reading the same target
-  /// properties under the same knobs share one index across hot swaps.
-  using BlockingKey =
-      std::tuple<std::vector<std::string>, size_t, size_t, size_t>;
+  /// (max tokens, min df) — rules reading the same target properties
+  /// under the same knobs share one index across hot swaps.
+  using BlockingKey = std::tuple<std::vector<std::string>, size_t, size_t>;
   std::map<BlockingKey, std::shared_ptr<const BlockingIndex>> blocking_cache
       GENLINK_GUARDED_BY(mutex);
   std::unique_ptr<ThreadPool> pool;
@@ -129,9 +128,7 @@ std::shared_ptr<const MatcherIndex> MatcherIndex::Build(
   corpus->source = &source;
   corpus->target = &target;
   corpus->pool = std::make_unique<ThreadPool>(options.num_threads);
-  if (options.use_value_store) {
-    corpus->store = std::make_unique<ValueStore>(source, target);
-  }
+  corpus->store = std::make_unique<ValueStore>(source, target);
   std::shared_ptr<MatcherIndex> index(
       new MatcherIndex(corpus, rule.Clone(), options));
   const auto start = std::chrono::steady_clock::now();
@@ -149,15 +146,13 @@ std::shared_ptr<const MatcherIndex> MatcherIndex::Build(
   auto corpus = std::make_shared<Corpus>();
   corpus->target = &target;
   corpus->pool = std::make_unique<ThreadPool>(options.num_threads);
-  if (options.use_value_store) {
-    // No bound source: the store's source side stays empty (source
-    // plans register with zero entities), queries evaluate their own
-    // values through the query scorer.
-    const std::vector<const Entity*> target_pointers = DatasetPointers(target);
-    corpus->store = std::make_unique<ValueStore>(
-        std::span<const Entity* const>{}, target.schema(),
-        std::span<const Entity* const>(target_pointers), target.schema());
-  }
+  // No bound source: the store's source side stays empty (source plans
+  // register with zero entities), queries evaluate their own values
+  // through the query scorer.
+  const std::vector<const Entity*> target_pointers = DatasetPointers(target);
+  corpus->store = std::make_unique<ValueStore>(
+      std::span<const Entity* const>{}, target.schema(),
+      std::span<const Entity* const>(target_pointers), target.schema());
   std::shared_ptr<MatcherIndex> index(
       new MatcherIndex(corpus, rule.Clone(), options));
   const auto start = std::chrono::steady_clock::now();
@@ -180,11 +175,6 @@ Result<std::shared_ptr<const MatcherIndex>> MatcherIndex::Build(
         "MatcherIndex::Build: a mapped corpus cannot serve the empty rule "
         "(there is nothing to score)");
   }
-  if (!options.use_value_store) {
-    return Status::InvalidArgument(
-        "MatcherIndex::Build: a mapped corpus IS the value store; "
-        "use_value_store=false is not servable from an artifact");
-  }
   auto shared = std::make_shared<Corpus>();
   shared->mapped = std::move(corpus);
   shared->pool = std::make_unique<ThreadPool>(options.num_threads);
@@ -204,32 +194,24 @@ Status MatcherIndex::CompileLocked() {
   // Declared in the header, where Corpus is incomplete, so the writer
   // requirement is asserted rather than spelled as GENLINK_REQUIRES.
   corpus.mutex.AssertWriterHeld();
-  query_ready_ = false;
   reader_ = nullptr;
   if (corpus.mapped != nullptr) return CompileMappedLocked();
   if (options_.use_blocking) {
     std::vector<std::string> properties = TargetProperties(rule_);
-    const size_t shards = std::max<size_t>(1, options_.blocking_shards);
     auto& slot = corpus.blocking_cache[Corpus::BlockingKey(
-        properties, options_.blocking_max_tokens, options_.blocking_min_token_df,
-        shards)];
+        properties, options_.blocking_max_tokens, options_.blocking_min_token_df)];
     if (slot == nullptr) {
       TokenBlockingOptions blocking_options;
       blocking_options.max_tokens_per_entity = options_.blocking_max_tokens;
       blocking_options.min_token_df = options_.blocking_min_token_df;
-      blocking_options.num_shards = shards;
-      blocking_options.build_pool = corpus.pool.get();
-      if (shards > 1) {
-        slot = std::make_shared<const ShardedTokenBlockingIndex>(
-            *corpus.target, properties, blocking_options);
-      } else {
-        slot = std::make_shared<const TokenBlockingIndex>(
-            *corpus.target, properties, blocking_options);
-      }
+      slot = std::make_shared<const TokenBlockingIndex>(
+          *corpus.target, properties, blocking_options);
     }
     blocking_ = slot;
   }
-  if (corpus.store == nullptr || rule_.empty()) return Status::Ok();
+  // The empty rule compiles no scorer: every candidate scores 0.0
+  // (QueryScore), as LinkageRule::Evaluate does.
+  if (rule_.empty()) return Status::Ok();
 
   // Full-join scoring over store-resident pairs. Compiles both sides'
   // value subtrees into the shared store; a WithRule generation only
@@ -265,7 +247,6 @@ Status MatcherIndex::CompileLocked() {
         {info.comparisons[k].op, it->second, target_plans[k]});
   }
   reader_ = corpus.store.get();
-  query_ready_ = true;
   return Status::Ok();
 }
 
@@ -282,7 +263,6 @@ Status MatcherIndex::CompileMappedLocked() {
           "disable blocking");
     }
     const std::vector<std::string> properties = TargetProperties(rule_);
-    const size_t shards = std::max<size_t>(1, options_.blocking_shards);
     if (properties != mapped.blocking_properties()) {
       return Status::FailedPrecondition(
           "corpus artifact '" + mapped.path() +
@@ -290,14 +270,12 @@ Status MatcherIndex::CompileMappedLocked() {
           "re-run `genlink index` with the new rule");
     }
     if (options_.blocking_max_tokens != mapped.blocking_max_tokens() ||
-        options_.blocking_min_token_df != mapped.blocking_min_token_df() ||
-        shards != mapped.blocking_shards()) {
+        options_.blocking_min_token_df != mapped.blocking_min_token_df()) {
       return Status::FailedPrecondition(
           "corpus artifact '" + mapped.path() +
           "' was indexed with different blocking knobs (max_tokens=" +
           std::to_string(mapped.blocking_max_tokens()) + ", min_df=" +
-          std::to_string(mapped.blocking_min_token_df()) + ", shards=" +
-          std::to_string(mapped.blocking_shards()) +
+          std::to_string(mapped.blocking_min_token_df()) +
           "); re-run `genlink index` with the requested options");
     }
     // Aliasing shared_ptr: the BlockingIndex lives inside the mapped
@@ -334,7 +312,6 @@ Status MatcherIndex::CompileMappedLocked() {
     query_sites_.push_back({site.op, it->second, *plan});
   }
   reader_ = &mapped;
-  query_ready_ = true;
   return Status::Ok();
 }
 
@@ -354,11 +331,9 @@ std::shared_ptr<const MatcherIndex> MatcherIndex::WithRule(
 Result<std::shared_ptr<const MatcherIndex>> MatcherIndex::TryWithRule(
     const LinkageRule& rule, const MatchOptions& options) const {
   MatchOptions next_options = options;
-  // Corpus-lifetime properties cannot change per generation: the pool
-  // was sized at Build, and the value store either exists for this
-  // corpus or does not (header contract).
+  // The pool is corpus-lifetime: it was sized at Build (header
+  // contract).
   next_options.num_threads = options_.num_threads;
-  next_options.use_value_store = options_.use_value_store;
   if (corpus_->mapped != nullptr && rule.empty()) {
     return Status::InvalidArgument(
         "TryWithRule: a mapped corpus cannot serve the empty rule");
@@ -386,6 +361,13 @@ void MatcherIndex::EvaluateQueryOps(const Entity& entity, const Schema& schema,
       out.views[i].push_back(value);
     }
   }
+}
+
+double MatcherIndex::QueryScore(const QueryValues& qv,
+                                size_t target_index) const {
+  if (rule_.empty()) return 0.0;
+  size_t next_site = 0;
+  return QueryNode(*rule_.root(), qv, target_index, next_site);
 }
 
 double MatcherIndex::QueryNode(const SimilarityOperator& node,
@@ -429,8 +411,7 @@ double MatcherIndex::QueryNode(const SimilarityOperator& node,
 }
 
 std::vector<GeneratedLink> MatcherIndex::MatchEntityUnlocked(
-    const Entity& entity, const Schema& schema,
-    const std::vector<size_t>* candidates, const CancelToken* cancel,
+    const Entity& entity, const Schema& schema, const CancelToken* cancel,
     const uint8_t* dead) const {
   corpus_->mutex.AssertReaderHeld();
   if (cancel == nullptr) cancel = options_.cancel;
@@ -444,24 +425,14 @@ std::vector<GeneratedLink> MatcherIndex::MatchEntityUnlocked(
   const bool skip_own_id =
       corpus_->source == nullptr || corpus_->source == corpus_->target;
   QueryValues qv;
-  if (query_ready_) EvaluateQueryOps(entity, schema, qv);
+  EvaluateQueryOps(entity, schema, qv);
 
   std::vector<GeneratedLink> links;
   auto consider = [&](size_t j) {
     if (dead != nullptr && dead[j] != 0) return;
     const std::string_view id_b = corpus_->target_id(j);
     if (skip_own_id && id_b == entity.id()) return;
-    double score;
-    if (query_ready_) {
-      size_t next_site = 0;
-      score = QueryNode(*rule_.root(), qv, j, next_site);
-    } else {
-      // Raw-evaluation fallback (value store off or empty rule). Only
-      // reachable with a dataset-backed corpus: mapped builds always
-      // compile a query scorer (Build contract).
-      score = rule_.Evaluate(entity, corpus_->target->entity(j), schema,
-                             corpus_->target->schema());
-    }
+    const double score = QueryScore(qv, j);
     if (score >= options_.threshold) {
       links.push_back({entity.id(), std::string(id_b), score});
     }
@@ -474,12 +445,7 @@ std::vector<GeneratedLink> MatcherIndex::MatchEntityUnlocked(
   auto cancelled = [&] {
     return cancel != nullptr && (++scanned & 63) == 0 && cancel->Cancelled();
   };
-  if (candidates != nullptr) {
-    for (size_t j : *candidates) {
-      if (cancelled()) break;
-      consider(j);
-    }
-  } else if (blocking_ != nullptr) {
+  if (blocking_ != nullptr) {
     for (size_t j : blocking_->Candidates(entity, schema)) {
       if (cancelled()) break;
       consider(j);
@@ -509,8 +475,7 @@ std::vector<GeneratedLink> MatcherIndex::MatchEntityMasked(
     const Entity& entity, const Schema& schema, const uint8_t* dead,
     const CancelToken* cancel) const {
   ReaderMutexLock lock(corpus_->mutex);
-  return MatchEntityUnlocked(entity, schema, /*candidates=*/nullptr, cancel,
-                             dead);
+  return MatchEntityUnlocked(entity, schema, cancel, dead);
 }
 
 std::vector<GeneratedLink> MatcherIndex::MatchEntity(
@@ -527,52 +492,12 @@ std::vector<GeneratedLink> MatcherIndex::MatchBatch(
   std::vector<std::vector<GeneratedLink>> per_entity(n);
   {
     ReaderMutexLock lock(corpus_->mutex);
-    const size_t shards = blocking_ != nullptr ? blocking_->NumShards() : 1;
-    if (shards > 1 && n > 0) {
-      // Per-shard fan-out. Phase 1 generates candidates as
-      // (shard × query-chunk) tasks — each task appends one shard's
-      // hits for a chunk of queries into shard-major slots, so no two
-      // tasks ever touch the same vector. Phase 2 merges each query's
-      // per-shard hit lists (sort + unique restores exactly
-      // BlockingIndex::Candidates' output, making the shard count
-      // invisible) and scores.
-      constexpr size_t kChunk = 64;
-      const size_t chunks = (n + kChunk - 1) / kChunk;
-      std::vector<std::vector<size_t>> hits(shards * n);
-      corpus_->pool->ParallelFor(shards * chunks, [&](size_t task) {
-        // Cooperative cancellation at chunk granularity: a fired token
-        // turns the remaining tasks into no-ops.
-        if (cancel != nullptr && cancel->Cancelled()) return;
-        const size_t shard = task / chunks;
-        const size_t chunk = task % chunks;
-        const size_t end = std::min(n, (chunk + 1) * kChunk);
-        for (size_t i = chunk * kChunk; i < end; ++i) {
-          blocking_->AppendShardCandidates(shard, entities[i], schema,
-                                           hits[shard * n + i]);
-        }
-      });
-      corpus_->pool->ParallelFor(n, [&](size_t i) {
-        if (cancel != nullptr && cancel->Cancelled()) return;
-        std::vector<size_t> candidates;
-        for (size_t shard = 0; shard < shards; ++shard) {
-          const std::vector<size_t>& shard_hits = hits[shard * n + i];
-          candidates.insert(candidates.end(), shard_hits.begin(),
-                            shard_hits.end());
-        }
-        std::sort(candidates.begin(), candidates.end());
-        candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                         candidates.end());
-        per_entity[i] =
-            MatchEntityUnlocked(entities[i], schema, &candidates, cancel);
-      });
-    } else {
-      corpus_->pool->ParallelFor(n, [&](size_t i) {
-        // Runs on pool workers while the dispatching frame above holds
-        // the reader lock for the whole parallel section.
-        if (cancel != nullptr && cancel->Cancelled()) return;
-        per_entity[i] = MatchEntityUnlocked(entities[i], schema, nullptr, cancel);
-      });
-    }
+    corpus_->pool->ParallelFor(n, [&](size_t i) {
+      // Runs on pool workers while the dispatching frame above holds the
+      // reader lock for the whole parallel section.
+      if (cancel != nullptr && cancel->Cancelled()) return;
+      per_entity[i] = MatchEntityUnlocked(entities[i], schema, cancel);
+    });
   }
   std::vector<GeneratedLink> links;
   size_t total = 0;
@@ -603,7 +528,6 @@ std::vector<GeneratedLink> MatcherIndex::MatchDataset(
   // only the bound source dataset has; any other dataset goes through
   // the (bit-identical) query scorer.
   const bool bound = compiled_ != nullptr && &source == corpus_->source;
-  const bool query_scorer = query_ready_ && !bound;
 
   corpus_->pool->ParallelFor(source.size(), [&](size_t i) {
     // The one-shot CLI's SIGINT path: a fired token skips the
@@ -611,23 +535,12 @@ std::vector<GeneratedLink> MatcherIndex::MatchDataset(
     if (options_.cancel != nullptr && options_.cancel->Cancelled()) return;
     const Entity& ea = source.entity(i);
     QueryValues qv;
-    if (query_scorer) EvaluateQueryOps(ea, source.schema(), qv);
+    if (!bound) EvaluateQueryOps(ea, source.schema(), qv);
     std::vector<GeneratedLink> local;
     auto consider = [&](size_t j) {
       const std::string_view id_b = corpus_->target_id(j);
       if (self_join && ea.id() >= id_b) return;  // dedup: each pair once
-      double score;
-      if (bound) {
-        score = compiled_->Score(i, j);
-      } else if (query_scorer) {
-        size_t next_site = 0;
-        score = QueryNode(*rule_.root(), qv, j, next_site);
-      } else {
-        // Raw fallback; never reached for a mapped corpus (which always
-        // compiles the query scorer).
-        score = rule_.Evaluate(ea, corpus_->target->entity(j), source.schema(),
-                               corpus_->target->schema());
-      }
+      const double score = bound ? compiled_->Score(i, j) : QueryScore(qv, j);
       if (score >= options_.threshold) {
         local.push_back({ea.id(), std::string(id_b), score});
       }
@@ -666,11 +579,6 @@ MatcherIndexStats MatcherIndex::stats() const {
   if (blocking_ != nullptr) {
     stats.blocking_tokens = blocking_->NumTokens();
     stats.blocking_postings = blocking_->NumPostings();
-    stats.blocking_shards = blocking_->NumShards();
-    stats.blocking_shard_stats.reserve(blocking_->NumShards());
-    for (size_t s = 0; s < blocking_->NumShards(); ++s) {
-      stats.blocking_shard_stats.push_back(blocking_->ShardStats(s));
-    }
   }
   if (corpus_->mapped != nullptr) {
     stats.value_plans = corpus_->mapped->num_plans();

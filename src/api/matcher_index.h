@@ -15,7 +15,11 @@
 // store (eval/value_store.h: per-entity transform plans + interned
 // token-id spans) and constructs a persistent TokenBlockingIndex
 // (matcher/blocking.h); queries then pay only candidate lookup plus
-// interned-distance scoring. Three query surfaces:
+// interned-distance scoring. There is one scoring path per pair shape:
+// the query scorer (source values evaluated per query, target values
+// read from the store or a mapped artifact) for MatchEntity/MatchBatch
+// and unbound MatchDataset, and CompiledRule (eval/value_store.h) for
+// the full join over the bound source. Three query surfaces:
 //
 //   * MatchEntity  — one query entity against the indexed corpus; the
 //     request-serving path. No thread pool involved.
@@ -75,21 +79,13 @@ class ThreadPool;
 struct MatcherIndexStats {
   /// Entities on the indexed (target) side.
   size_t target_entities = 0;
-  /// Distinct tokens in the blocking index, summed over shards (0 when
-  /// blocking is off).
+  /// Distinct tokens in the blocking index (0 when blocking is off).
   size_t blocking_tokens = 0;
-  /// (token, entity) postings in the blocking index, summed over
-  /// shards (0 when blocking is off).
+  /// (token, entity) postings in the blocking index (0 when blocking is
+  /// off).
   size_t blocking_postings = 0;
-  /// Hash shards the blocking postings are partitioned into (1 for the
-  /// single-map index, 0 when blocking is off).
-  size_t blocking_shards = 0;
-  /// Per-shard token/posting counters, one entry per shard — the load
-  /// balance view of a sharded index (empty when blocking is off).
-  std::vector<BlockingShardStats> blocking_shard_stats;
   /// Transform plans materialized in the shared value store, summed
-  /// over all rules compiled against this corpus (0 when the value
-  /// store is off).
+  /// over all rules compiled against this corpus.
   size_t value_plans = 0;
   /// Approximate bytes held by the shared value store.
   size_t store_bytes = 0;
@@ -128,9 +124,8 @@ class MatcherIndex {
   /// dataset the artifact was written from. Fails with a named Status
   /// when the rule needs a value plan the artifact did not precompute,
   /// or when options request a blocking configuration (properties,
-  /// max-tokens, min-df, shards) the artifact does not carry — re-run
-  /// `genlink index`. The rule must be non-empty and use_value_store
-  /// must stay on (a mapped corpus IS the value store).
+  /// max-tokens, min-df) the artifact does not carry — re-run
+  /// `genlink index`. The rule must be non-empty.
   static Result<std::shared_ptr<const MatcherIndex>> Build(
       std::shared_ptr<const MappedCorpus> corpus, const LinkageRule& rule,
       const MatchOptions& options = {});
@@ -171,13 +166,9 @@ class MatcherIndex {
       const Entity& entity, const Schema& schema, const uint8_t* dead,
       const CancelToken* cancel = nullptr) const;
 
-  /// MatchEntity for every entity of `entities`, scored in parallel
-  /// chunks on the corpus pool. With a sharded blocking index
-  /// (MatchOptions::blocking_shards > 1), candidate generation first
-  /// fans out as (shard × query-chunk) tasks, then the merged
-  /// candidates are scored — same pool, higher parallelism on large
-  /// batches. The result is the concatenation of the per-entity link
-  /// lists in input order (deterministic for any thread and shard
+  /// MatchEntity for every entity of `entities`, scored in parallel on
+  /// the corpus pool. The result is the concatenation of the
+  /// per-entity link lists in input order (deterministic for any thread
   /// count).
   /// When `cancel` is non-null (or MatchOptions::cancel is set), the
   /// per-entity chunk tasks poll the token and stop scoring once it
@@ -218,11 +209,9 @@ class MatcherIndex {
   /// WithRule with new per-query options — the artifact-reload shape
   /// (serve/serving_state.h), where a redeployed artifact may change
   /// the threshold, best-match mode or blocking knobs along with the
-  /// rule. Corpus-lifetime properties are pinned to this index's
-  /// values: num_threads (the shared pool is built once) and
-  /// use_value_store (the store either exists for this corpus or does
-  /// not). A changed blocking configuration compiles a new index into
-  /// the shared per-corpus cache.
+  /// rule. num_threads is pinned to this index's value: the shared pool
+  /// is built once per corpus. A changed blocking configuration
+  /// compiles a new index into the shared per-corpus cache.
   std::shared_ptr<const MatcherIndex> WithRule(const LinkageRule& rule,
                                                const MatchOptions& options) const;
 
@@ -284,22 +273,21 @@ class MatcherIndex {
   struct QueryValues;
   void EvaluateQueryOps(const Entity& entity, const Schema& schema,
                         QueryValues& out) const;
+  /// Score of target slot `target_index` against a query's values; 0.0
+  /// for the empty rule, as LinkageRule::Evaluate.
+  double QueryScore(const QueryValues& qv, size_t target_index) const;
   /// Mirror of CompiledRule::EvalNode with the source side read from
   /// `qv` instead of store plans.
   double QueryNode(const SimilarityOperator& node, const QueryValues& qv,
                    size_t target_index, size_t& next_site) const;
 
-  /// MatchEntity body; caller holds the corpus read lock. When
-  /// `candidates` is non-null it is the precomputed sorted-unique
-  /// candidate index list for `entity` (MatchBatch's per-shard fan-out
-  /// merges it ahead of scoring); null means probe the blocking index
-  /// (or scan the full target when blocking is off). A non-null
-  /// `cancel` is polled every few dozen candidates, bounding how long
-  /// one huge candidate set can overstay a request deadline. A non-null
-  /// `dead` is the MatchEntityMasked tombstone mask.
+  /// MatchEntity body; caller holds the corpus read lock. Probes the
+  /// blocking index (or scans the full target when blocking is off). A
+  /// non-null `cancel` is polled every few dozen candidates, bounding
+  /// how long one huge candidate set can overstay a request deadline. A
+  /// non-null `dead` is the MatchEntityMasked tombstone mask.
   std::vector<GeneratedLink> MatchEntityUnlocked(
       const Entity& entity, const Schema& schema,
-      const std::vector<size_t>* candidates = nullptr,
       const CancelToken* cancel = nullptr,
       const uint8_t* dead = nullptr) const;
 
@@ -309,28 +297,23 @@ class MatcherIndex {
 
   /// Blocking index over the target side for rule_'s target properties
   /// and the options' blocking knobs (shared with other generations
-  /// using the same property set and knobs); a ShardedTokenBlockingIndex
-  /// when options_.blocking_shards > 1, null when options_.use_blocking
-  /// is false.
+  /// using the same property set and knobs); null when
+  /// options_.use_blocking is false.
   std::shared_ptr<const BlockingIndex> blocking_;
   /// Compiled scoring for store-resident entity pairs (the full-join
-  /// path); null when the value store is off or the rule is empty.
+  /// path); null for a mapped corpus or the empty rule.
   std::unique_ptr<CompiledRule> compiled_;
 
   /// Distinct source-side value subtrees of rule_ (deduplicated by
   /// ValueOperatorHash) and the per-comparison sites of the query
-  /// scorer, in pre-order. Empty when the value store is off.
+  /// scorer, in pre-order. Empty for the empty rule.
   std::vector<const ValueOperator*> query_ops_;
   std::vector<QuerySite> query_sites_;
 
   /// The target-side read surface the query scorer consumes — the
   /// corpus value store or the mapped corpus. Set by CompileLocked;
-  /// null when the value store is off.
+  /// null for the empty rule.
   const ValueReader* reader_ = nullptr;
-  /// True when query_sites_/reader_ are usable (replaces the old
-  /// `compiled_ != nullptr` gate: a mapped corpus compiles the query
-  /// scorer without a CompiledRule).
-  bool query_ready_ = false;
 
   double build_seconds_ = 0.0;
 };

@@ -53,8 +53,6 @@ EvaluationEngine::EvaluationEngine(std::span<const LabeledPair> pairs,
                                    const Schema& schema_b,
                                    FitnessConfig fitness, EngineConfig config)
     : pairs_(pairs),
-      schema_a_(&schema_a),
-      schema_b_(&schema_b),
       fitness_config_(fitness),
       config_(config),
       serial_(pairs, schema_a, schema_b, fitness),
@@ -62,7 +60,7 @@ EvaluationEngine::EvaluationEngine(std::span<const LabeledPair> pairs,
       fitness_cache_(config.max_fitness_entries) {
   // The value store only serves the distance-row phase; without the
   // distance cache the engine is a pure-recompute baseline.
-  if (config_.use_value_store && config_.cache_distances) {
+  if (config_.cache_distances) {
     // Map each training pair to dense per-side entity indexes: pairs
     // share entities heavily (every entity appears in several labelled
     // pairs), and plans are evaluated per *entity*, not per pair.
@@ -82,21 +80,6 @@ EvaluationEngine::EvaluationEngine(std::span<const LabeledPair> pairs,
     }
     store_ = std::make_unique<ValueStore>(source_entities, schema_a,
                                           target_entities, schema_b);
-  }
-}
-
-void EvaluationEngine::FillDistanceRow(const ComparisonOperator& op,
-                                       std::vector<double>& row) const {
-  row.resize(pairs_.size());
-  ValueSet scratch_a, scratch_b;
-  for (size_t p = 0; p < pairs_.size(); ++p) {
-    const LabeledPair& pair = pairs_[p];
-    const ValueSet& va = op.source()->EvaluateRef(*pair.a, *schema_a_, scratch_a);
-    const ValueSet& vb = op.target()->EvaluateRef(*pair.b, *schema_b_, scratch_b);
-    // Empty sets are stored as an infinite distance: ThresholdedScore
-    // maps it to 0.0, exactly the serial path's empty-set short-circuit.
-    row[p] = (va.empty() || vb.empty()) ? kInfiniteDistance
-                                        : op.measure()->Distance(va, vb);
   }
 }
 
@@ -247,7 +230,7 @@ void EvaluationEngine::EvaluateBatch(std::span<const LinkageRule* const> rules,
     // serially (deterministic ids).
     std::vector<PlanId> source_plans(new_sigs.size());
     std::vector<PlanId> target_plans(new_sigs.size());
-    if (store_ != nullptr && !new_sigs.empty()) {
+    if (!new_sigs.empty()) {
       if (store_->ApproxBytes() > config_.max_store_bytes) store_->Clear();
       std::vector<const ValueOperator*> source_ops, target_ops;
       source_ops.reserve(new_reps.size());
@@ -273,12 +256,8 @@ void EvaluationEngine::EvaluateBatch(std::span<const LinkageRule* const> rules,
       new_rows[k] = &distance_rows_[new_sigs[k]];
     }
     pool_.ParallelFor(new_sigs.size(), [&](size_t k) {
-      if (store_ != nullptr) {
-        FillDistanceRowFromStore(*new_reps[k], source_plans[k],
-                                 target_plans[k], *new_rows[k]);
-      } else {
-        FillDistanceRow(*new_reps[k], *new_rows[k]);
-      }
+      FillDistanceRowFromStore(*new_reps[k], source_plans[k], target_plans[k],
+                               *new_rows[k]);
     });
     stats_.distance_rows_computed += new_sigs.size();
 

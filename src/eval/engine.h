@@ -21,6 +21,7 @@
 //      first: transformations run once per distinct entity instead of
 //      once per pair, and the row is then computed over interned
 //      values (pooled string views / sorted token ids), allocation-free.
+//      Every cached row is filled this way.
 //   4. Thread pool — plan evaluation, distance rows and cache-missing
 //      rules are evaluated in parallel on common/thread_pool.
 //
@@ -73,13 +74,11 @@ struct EngineConfig {
   size_t num_threads = 0;
   /// Memoize whole-rule FitnessResults by canonical hash.
   bool cache_fitness = true;
-  /// Precompute per-pair raw distances by comparison signature.
+  /// Precompute per-pair raw distances by comparison signature, from
+  /// per-entity transform plans over interned values
+  /// (eval/value_store.h). Off, every rule is scored by
+  /// FitnessEvaluator — the reference path the cached one must match.
   bool cache_distances = true;
-  /// Compile value subtrees into per-entity transform plans and compute
-  /// cold distance rows from interned values (eval/value_store.h).
-  /// Results are bit-identical either way; off only for A/B
-  /// measurements. Only effective together with cache_distances.
-  bool use_value_store = true;
   /// Fitness memo entry bound; the memo is cleared when exceeded.
   size_t max_fitness_entries = 1 << 18;
   /// Approximate byte budget for distance rows; rows are cleared between
@@ -191,12 +190,8 @@ class EvaluationEngine {
   };
 
   /// Fills `row` (sized to pairs_) with the raw distance of every pair
-  /// under the comparison's measure and value subtrees.
-  void FillDistanceRow(const ComparisonOperator& op,
-                       std::vector<double>& row) const;
-
-  /// Same contract, reading interned per-entity values from the value
-  /// store instead of evaluating the subtrees per pair.
+  /// under the comparison's measure, reading interned per-entity values
+  /// from the value store's plans for its two value subtrees.
   void FillDistanceRowFromStore(const ComparisonOperator& op,
                                 PlanId source_plan, PlanId target_plan,
                                 std::vector<double>& row) const;
@@ -209,8 +204,6 @@ class EvaluationEngine {
       std::span<const std::vector<double>* const> rows) const;
 
   std::span<const LabeledPair> pairs_;
-  const Schema* schema_a_;
-  const Schema* schema_b_;
   FitnessConfig fitness_config_;
   EngineConfig config_;
   FitnessEvaluator serial_;
@@ -227,7 +220,8 @@ class EvaluationEngine {
   /// row written by exactly one task.
   std::unordered_map<uint64_t, std::vector<double>> distance_rows_
       GENLINK_GUARDED_BY(serial_phase_);
-  /// Per-entity transform plans + interned values (null when disabled).
+  /// Per-entity transform plans + interned values (null when
+  /// cache_distances is off).
   /// Mutated only by CompileBatch in the serial phase 2b; frozen and
   /// read-shared during the parallel row fill (docs/CONCURRENCY.md).
   std::unique_ptr<ValueStore> store_;

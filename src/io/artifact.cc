@@ -39,8 +39,6 @@ std::string WriteRuleArtifact(const RuleArtifact& artifact,
   out += "threshold: " + FormatDoubleExact(artifact.options.threshold) + "\n";
   out += "use-blocking: ";
   out += artifact.options.use_blocking ? '1' : '0';
-  out += "\nuse-value-store: ";
-  out += artifact.options.use_value_store ? '1' : '0';
   out += "\nbest-match-only: ";
   out += artifact.options.best_match_only ? '1' : '0';
   out += "\nrule-format: ";
@@ -117,9 +115,11 @@ Result<RuleArtifact> ReadRuleArtifact(std::string_view text) {
       if (!flag.ok()) return flag.status();
       artifact.options.use_blocking = *flag;
     } else if (key == "use-value-store") {
+      // Accepted for artifacts written before every index scored
+      // through the value store; links were bit-identical either way,
+      // so the value is validated and then ignored.
       auto flag = ParseBoolValue(key, value);
       if (!flag.ok()) return flag.status();
-      artifact.options.use_value_store = *flag;
     } else if (key == "best-match-only") {
       auto flag = ParseBoolValue(key, value);
       if (!flag.ok()) return flag.status();

@@ -10,7 +10,6 @@
 //   name: restaurant-dedup            (optional free-text label)
 //   threshold: 0.5
 //   use-blocking: 1
-//   use-value-store: 1
 //   best-match-only: 0
 //   rule-format: xml                  (or: sexpr)
 //   ---
@@ -18,6 +17,9 @@
 //
 // Header keys may appear in any order; unknown keys and unknown
 // versions are errors (the version line is how v2 gets room to grow).
+// Older writers also emitted `use-value-store: 0|1`; the reader still
+// accepts and validates that key (at most once) but ignores its value,
+// since links were bit-identical either way.
 // The rule payload after the `---` separator reuses the existing rule
 // serializations verbatim: Silk-style XML (rule/xml.h) or the
 // s-expression form (rule/serialize.h, rule/parse.h). num_threads is

@@ -95,9 +95,8 @@ struct CorpusArtifactStats {
 /// value plans into a serving-shape value store, builds the blocking
 /// postings for the rule's target properties under the options'
 /// blocking knobs (skipped when options.use_blocking is false), and
-/// serializes both. Fails on an empty rule or when
-/// options.use_value_store is false — a corpus artifact IS the value
-/// store. `pool` parallelizes plan evaluation.
+/// serializes both. Fails on an empty rule (there are no value plans
+/// to persist). `pool` parallelizes plan evaluation.
 Status WriteCorpusArtifact(const std::string& path, const Dataset& target,
                            const LinkageRule& rule, const MatchOptions& options,
                            ThreadPool* pool = nullptr,
@@ -165,7 +164,6 @@ class MappedCorpus final : public ValueReader {
   }
   size_t blocking_max_tokens() const { return blocking_max_tokens_; }
   size_t blocking_min_token_df() const { return blocking_min_token_df_; }
-  size_t blocking_shards() const { return blocking_shards_; }
 
   /// StableRuleHash of the rule the artifact was indexed for
   /// (provenance; serving any rule whose plans are present is allowed).
@@ -206,7 +204,6 @@ class MappedCorpus final : public ValueReader {
   uint64_t num_postings_ = 0;
   uint64_t blocking_max_tokens_ = 0;
   uint64_t blocking_min_token_df_ = 1;
-  uint64_t blocking_shards_ = 1;
   uint64_t rule_hash_ = 0;
 
   Schema schema_;

@@ -467,9 +467,8 @@ Status LiveCorpus::DeployRule(const LinkageRule& rule,
 
   MatchOptions next = options;
   next.cancel = nullptr;
-  // Corpus-lifetime knobs stay pinned, as with TryWithRule itself.
+  // The pool size is corpus-lifetime, as with TryWithRule itself.
   next.num_threads = user_options_.num_threads;
-  next.use_value_store = user_options_.use_value_store;
 
   // Re-evaluate the live delta entries under the new rule into a fresh
   // log (site values and blocking keys are rule-dependent). Dead
@@ -531,6 +530,10 @@ std::shared_ptr<const LiveCorpus::Snapshot> LiveCorpus::snapshot() const {
 }
 
 uint64_t LiveCorpus::epoch() const { return snapshot()->epoch; }
+
+double LiveCorpus::base_build_seconds() const {
+  return snapshot()->base->stats().build_seconds;
+}
 
 std::vector<GeneratedLink> LiveCorpus::MatchOne(const Snapshot& snap,
                                                 const Entity& entity,

@@ -190,8 +190,8 @@ class LiveCorpus {
   /// and re-evaluates every live delta entry under the new rule, then
   /// publishes one new epoch. On failure (e.g. a mapped artifact
   /// missing the new rule's plans) the previous rule keeps serving
-  /// untouched. num_threads and use_value_store stay pinned to their
-  /// Create-time values, as with MatcherIndex::TryWithRule.
+  /// untouched. num_threads stays pinned to its Create-time value, as
+  /// with MatcherIndex::TryWithRule.
   Status DeployRule(const LinkageRule& rule, const MatchOptions& options);
 
   /// Scores one query entity against the logical corpus: links
@@ -226,6 +226,10 @@ class LiveCorpus {
 
   /// The epoch of the currently published snapshot.
   uint64_t epoch() const;
+  /// Compile seconds of the currently published base index
+  /// (MatcherIndexStats::build_seconds: the full build after
+  /// Create/Compact, the incremental compile after DeployRule).
+  double base_build_seconds() const;
 
   LiveCorpusStats stats() const;
 

@@ -1,6 +1,11 @@
 // Rule execution over whole datasets: generates the set of links
 // M_l = {(a,b) : l(a,b) >= 0.5} (Definition 3 of the paper), using token
-// blocking or the exhaustive cross product.
+// blocking or the exhaustive cross product. Every link is scored through
+// a value store (eval/value_store.h): transformations run once per
+// entity instead of once per candidate pair, and distances run over
+// interned values, bit-identical to LinkageRule::Evaluate on the same
+// pair (tests/matcher_test.cc compares against that operator-tree
+// reference).
 //
 // GenerateLinks is the one-shot convenience surface: it rebuilds every
 // execution artifact (blocking index, value store, compiled rule) per
@@ -36,12 +41,6 @@ struct MatchOptions {
   /// Use the token blocking index (recommended); exhaustive cross
   /// product otherwise.
   bool use_blocking = true;
-  /// Compile the rule against a value store (eval/value_store.h):
-  /// transformations run once per entity instead of once per candidate
-  /// pair, and distances run over interned values with the comparison
-  /// threshold as cutoff. Links are bit-identical either way
-  /// (tests/matcher_test.cc); off only for A/B measurements.
-  bool use_value_store = true;
   /// Minimum similarity for a link to be emitted.
   double threshold = 0.5;
   /// Keep only the best-scoring target per source entity when true.
@@ -62,11 +61,6 @@ struct MatchOptions {
   /// Skip blocking tokens seen in fewer than this many target entities.
   /// 1 = keep all (default). See TokenBlockingOptions::min_token_df.
   size_t blocking_min_token_df = 1;
-  /// Partition the blocking postings across this many hash shards;
-  /// MatchBatch fans candidate generation out per shard on the pool.
-  /// Links are bit-identical for any shard count (enforced by
-  /// tests/blocking_scale_test.cc). 0 or 1 = single shard (default).
-  size_t blocking_shards = 1;
   /// Cooperative cancellation (common/clock.h). Not a matching knob:
   /// never serialized into artifacts and never part of result
   /// identity. When non-null, the full-join and batch surfaces poll it

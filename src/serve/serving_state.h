@@ -97,7 +97,8 @@ class ServingState {
     std::string last_error;
     /// Name of the live artifact (may be empty).
     std::string rule_name;
-    /// Compile seconds of the live index (incremental for reloads).
+    /// Compile seconds of the serving index (incremental for reloads);
+    /// in live mode, of the live corpus's current base index.
     double build_seconds = 0.0;
     /// True when the state was constructed in live mode.
     bool live_mode = false;

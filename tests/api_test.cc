@@ -1,9 +1,10 @@
 // Tests for the service facade (api/matcher_index.h): every query
-// surface — MatchEntity, MatchBatch, MatchDataset — must be
-// bit-identical to the one-shot GenerateLinks on the paper's evaluation
-// data (Restaurant and Cora, blocking and cross product, value store on
-// and off), artifacts must round-trip save -> load -> query, and
-// WithRule hot swaps must serve exactly what a fresh build would.
+// surface — MatchEntity, MatchBatch, MatchDataset — and the one-shot
+// GenerateLinks must be bit-identical to the operator-tree reference
+// (reference_matcher.h) on the paper's evaluation data (Restaurant and
+// Cora, blocking and cross product), artifacts must round-trip save ->
+// load -> query, and WithRule hot swaps must serve exactly what a fresh
+// build would.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "io/artifact.h"
 #include "io/csv.h"
 #include "matcher/matcher.h"
+#include "reference_matcher.h"
 #include "rule/builder.h"
 #include "rule/rule_hash.h"
 #include "rule/serialize.h"
@@ -64,18 +66,6 @@ MatchingTask SmallCora() {
   return GenerateCora(config);
 }
 
-void ExpectSameLinks(const std::vector<GeneratedLink>& actual,
-                     const std::vector<GeneratedLink>& expected,
-                     const std::string& label) {
-  ASSERT_EQ(actual.size(), expected.size()) << label;
-  for (size_t i = 0; i < actual.size(); ++i) {
-    EXPECT_EQ(actual[i].id_a, expected[i].id_a) << label << " link " << i;
-    EXPECT_EQ(actual[i].id_b, expected[i].id_b) << label << " link " << i;
-    // Bit-identical doubles, not just nearly equal.
-    EXPECT_EQ(actual[i].score, expected[i].score) << label << " link " << i;
-  }
-}
-
 /// The matcher's global link order (matcher/matcher.h contract).
 void SortGlobally(std::vector<GeneratedLink>& links) {
   std::sort(links.begin(), links.end(), [](const auto& x, const auto& y) {
@@ -111,29 +101,36 @@ std::vector<GeneratedLink> JoinFromBatch(const MatcherIndex& index,
   return links;
 }
 
-// Every query surface of an index over a dedup task must reproduce
-// GenerateLinks bit for bit, for all four execution configurations.
+// Every query surface of an index over a dedup task, and GenerateLinks,
+// must reproduce the operator-tree reference bit for bit, with blocking
+// on and off: the full join as a whole, and each MatchEntity answer in
+// its own order.
 void CheckAllSurfacesOnDedupTask(const MatchingTask& task,
                                  const LinkageRule& rule) {
   for (bool use_blocking : {true, false}) {
-    for (bool use_value_store : {true, false}) {
-      MatchOptions options;
-      options.use_blocking = use_blocking;
-      options.use_value_store = use_value_store;
-      const std::string label = std::string(task.name) +
-                                " blocking=" + std::to_string(use_blocking) +
-                                " store=" + std::to_string(use_value_store);
-      auto expected = GenerateLinks(rule, task.a, task.a, options);
-      ASSERT_GT(expected.size(), 0u) << label;
+    MatchOptions options;
+    options.use_blocking = use_blocking;
+    const std::string label = std::string(task.name) +
+                              " blocking=" + std::to_string(use_blocking);
+    const ReferenceMatcher reference(rule, task.a, options);
+    auto expected = reference.MatchDataset(task.a);
+    ASSERT_GT(expected.size(), 0u) << label;
 
-      auto index = MatcherIndex::Build(task.a, task.a, rule, options);
-      ExpectSameLinks(index->MatchDataset(), expected, label + " dataset");
-      ExpectSameLinks(index->MatchDataset(task.a), expected,
-                      label + " dataset(arg)");
-      ExpectSameLinks(JoinFromEntityQueries(*index, task.a, /*dedup=*/true),
-                      expected, label + " entity");
-      ExpectSameLinks(JoinFromBatch(*index, task.a, /*dedup=*/true), expected,
-                      label + " batch");
+    ExpectSameLinks(GenerateLinks(rule, task.a, task.a, options), expected,
+                    label + " generate");
+    auto index = MatcherIndex::Build(task.a, task.a, rule, options);
+    ExpectSameLinks(index->MatchDataset(), expected, label + " dataset");
+    ExpectSameLinks(index->MatchDataset(task.a), expected,
+                    label + " dataset(arg)");
+    ExpectSameLinks(JoinFromEntityQueries(*index, task.a, /*dedup=*/true),
+                    expected, label + " entity");
+    ExpectSameLinks(JoinFromBatch(*index, task.a, /*dedup=*/true), expected,
+                    label + " batch");
+    for (const Entity& entity : task.a.entities()) {
+      ExpectSameLinks(index->MatchEntity(entity, task.a.schema()),
+                      reference.MatchEntity(entity, task.a.schema(),
+                                            /*skip_own_id=*/true),
+                      label + " entity " + entity.id());
     }
   }
 }
@@ -410,7 +407,6 @@ TEST(RuleArtifactTest, TextRoundTripBothFormats) {
     artifact.options.threshold = 0.75;
     artifact.options.best_match_only = true;
     artifact.options.use_blocking = false;
-    artifact.options.use_value_store = false;
 
     auto loaded = ReadRuleArtifact(WriteRuleArtifact(artifact, format));
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -418,7 +414,6 @@ TEST(RuleArtifactTest, TextRoundTripBothFormats) {
     EXPECT_EQ(loaded->options.threshold, 0.75);
     EXPECT_TRUE(loaded->options.best_match_only);
     EXPECT_FALSE(loaded->options.use_blocking);
-    EXPECT_FALSE(loaded->options.use_value_store);
     // The rule structure survives byte-exactly (canonical hash covers
     // measures, transforms, thresholds and weights).
     EXPECT_EQ(ToSexpr(loaded->rule), ToSexpr(artifact.rule));
@@ -447,6 +442,58 @@ TEST(RuleArtifactTest, RejectsMalformedInput) {
   auto bad_bool =
       ReadRuleArtifact("genlink-artifact v1\nuse-blocking: maybe\n---\n");
   EXPECT_FALSE(bad_bool.ok());
+}
+
+// Artifacts written before every index scored through the value store
+// carry `use-value-store: 0|1`. Both values still load, and serve the
+// same links as an artifact without the key; the writer no longer
+// emits it.
+TEST(RuleArtifactTest, LegacyUseValueStoreKeyLoadsAndServesSameLinks) {
+  MatchingTask task = SmallRestaurant();
+  RuleArtifact artifact;
+  artifact.name = "legacy";
+  artifact.rule = RestaurantRule();
+  const std::string text = WriteRuleArtifact(artifact);
+  EXPECT_EQ(text.find("use-value-store"), std::string::npos);
+  auto index = MatcherIndex::Build(task.a, artifact.rule, artifact.options);
+
+  const std::string anchor = "use-blocking: 1\n";
+  const size_t at = text.find(anchor);
+  ASSERT_NE(at, std::string::npos);
+  for (const char* flag : {"0", "1"}) {
+    std::string legacy = text;
+    legacy.insert(at + anchor.size(),
+                  std::string("use-value-store: ") + flag + "\n");
+    auto loaded = ReadRuleArtifact(legacy);
+    ASSERT_TRUE(loaded.ok()) << flag << ": " << loaded.status().ToString();
+    auto deployed = MatcherIndex::Build(task.a, loaded->rule, loaded->options);
+    size_t links = 0;
+    for (const Entity& entity : task.a.entities()) {
+      const auto served = deployed->MatchEntity(entity, task.a.schema());
+      links += served.size();
+      ExpectSameLinks(served, index->MatchEntity(entity, task.a.schema()),
+                      std::string("use-value-store: ") + flag + " " +
+                          entity.id());
+    }
+    EXPECT_GT(links, 0u) << flag;
+  }
+}
+
+// The legacy key keeps its validation: a non-boolean value or a second
+// occurrence is a ParseError, as for every other header key.
+TEST(RuleArtifactTest, LegacyUseValueStoreKeyStillValidated) {
+  auto bad_value = ReadRuleArtifact(
+      "genlink-artifact v1\nuse-value-store: maybe\n---\n");
+  ASSERT_FALSE(bad_value.ok());
+  EXPECT_EQ(bad_value.status().code(), StatusCode::kParseError);
+  EXPECT_NE(bad_value.status().ToString().find("use-value-store"),
+            std::string::npos);
+
+  auto duplicate = ReadRuleArtifact(
+      "genlink-artifact v1\nuse-value-store: 1\nuse-value-store: 0\n---\n");
+  ASSERT_FALSE(duplicate.ok());
+  EXPECT_EQ(duplicate.status().code(), StatusCode::kParseError);
+  EXPECT_NE(duplicate.status().ToString().find("duplicate"), std::string::npos);
 }
 
 // The deployment loop: save an artifact to disk, load it in (what would

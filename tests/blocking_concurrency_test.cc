@@ -1,20 +1,26 @@
-// Regression coverage for concurrent TokenBlockingIndex::Candidates on
-// a single shared index. The probe dedups through an epoch-stamped
-// thread_local scratch; before the epoch stamps, two threads probing
-// the same index (or two indexes from one thread interleaved across
-// tasks) could observe each other's seen-marks and drop candidates.
-// Runs under the `concurrency` label so the TSan CI leg picks it up.
+// Regression coverage for concurrent BlockingIndex::Candidates on a
+// single shared index, in memory (TokenBlockingIndex) and mapped from a
+// corpus artifact (MappedBlockingIndex). Each probe dedups through an
+// epoch-stamped thread_local scratch; before the epoch stamps, two
+// threads probing the same index (or two indexes from one thread
+// interleaved across tasks) could observe each other's seen-marks and
+// drop candidates. Runs under the `concurrency` label so the TSan CI
+// leg picks it up.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
+#include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "datasets/restaurant.h"
 #include "datasets/synthetic.h"
+#include "io/corpus_artifact.h"
 #include "matcher/blocking.h"
+#include "rule/builder.h"
 
 namespace genlink {
 namespace {
@@ -59,12 +65,23 @@ TEST(BlockingConcurrencyTest, ConcurrentCandidatesOnSharedTokenIndex) {
   HammerSharedIndex(task, index, /*num_threads=*/8, /*rounds=*/3);
 }
 
-TEST(BlockingConcurrencyTest, ConcurrentCandidatesOnSharedShardedIndex) {
+TEST(BlockingConcurrencyTest, ConcurrentCandidatesOnSharedMappedIndex) {
   const MatchingTask task = GenerateRestaurant(RestaurantConfig{});
-  TokenBlockingOptions options;
-  options.num_shards = 4;
-  const ShardedTokenBlockingIndex index(task.Target(), {}, options);
-  HammerSharedIndex(task, index, /*num_threads=*/8, /*rounds=*/3);
+  auto rule = RuleBuilder()
+                  .Compare("jaccard", 0.8, Prop("name").Lower().Tokenize(),
+                           Prop("name").Lower().Tokenize())
+                  .Build();
+  ASSERT_TRUE(rule.ok()) << rule.status().ToString();
+  const std::string path =
+      ::testing::TempDir() + "blocking_concurrency_mapped.glidx";
+  ASSERT_TRUE(
+      WriteCorpusArtifact(path, task.Target(), *rule, MatchOptions{}).ok());
+  auto mapped = MappedCorpus::Load(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  ASSERT_TRUE((*mapped)->has_blocking());
+  HammerSharedIndex(task, *(*mapped)->blocking(), /*num_threads=*/8,
+                    /*rounds=*/3);
+  std::remove(path.c_str());
 }
 
 TEST(BlockingConcurrencyTest, TwoIndexesProbedByTheSamePool) {

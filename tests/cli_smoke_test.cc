@@ -221,6 +221,48 @@ TEST(CliSmokeTest, MalformedNumericFlagValuesAreRejectedByName) {
   }
 }
 
+// Hash-sharded blocking postings are gone: the flag that asked for them
+// is an unknown flag on every subcommand that used to take it, rejected
+// before any file is opened.
+TEST(CliSmokeTest, BlockingShardsFlagIsUnknown) {
+  ASSERT_FALSE(g_cli_path.empty());
+  for (const char* command_line :
+       {" match --source a --target b --rule r --blocking-shards 2",
+        " index --target b --rule r --out o --blocking-shards 2",
+        " query --target b --rule r --blocking-shards 2"}) {
+    std::string output;
+    EXPECT_NE(RunCapture(g_cli_path + command_line, &output), 0)
+        << command_line;
+    EXPECT_NE(output.find("unknown flag '--blocking-shards'"),
+              std::string::npos)
+        << command_line << "\n" << output;
+  }
+}
+
+// `gen` without --deltas writes the three corpus files and no delta
+// stream; --help documents the delta count's default as 0.
+TEST(CliSmokeTest, GenWithoutDeltasWritesNoDeltaFile) {
+  ASSERT_FALSE(g_cli_path.empty());
+  const std::string source = TempPath("gen_source.csv");
+  const std::string target = TempPath("gen_target.csv");
+  const std::string links = TempPath("gen_links.csv");
+  const std::string deltas = TempPath("gen_deltas.csv");
+  std::remove(deltas.c_str());
+  std::string output;
+  EXPECT_EQ(RunCapture(g_cli_path + " gen --out-source " + source +
+                           " --out-target " + target + " --out-links " +
+                           links + " --entities 100",
+                       &output),
+            0)
+      << output;
+  EXPECT_EQ(output.find("deltas"), std::string::npos) << output;
+  for (const std::string& path : {source, target, links}) {
+    EXPECT_TRUE(ReadFileToString(path).ok()) << path;
+    std::remove(path.c_str());
+  }
+  EXPECT_FALSE(ReadFileToString(deltas).ok());
+}
+
 // The deployment loop end to end: learn a rule with --save-artifact,
 // then serve CSV queries against it with `genlink query` and check the
 // streamed links parse and cover some known duplicates.

@@ -21,6 +21,7 @@
 #include "io/csv.h"
 #include "matcher/matcher.h"
 #include "rule/builder.h"
+#include "rule/parse.h"
 #include "serve/serving_state.h"
 
 namespace genlink {
@@ -62,8 +63,14 @@ LinkageRule UnrelatedRule() {
   return std::move(rule).value();
 }
 
+// Prefixed with the running test's name: ctest -j runs each test in its
+// own process at the same time, and fixtures sharing one file name
+// would overwrite each other's artifacts mid-test.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "corpus_artifact_" + name;
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "corpus_artifact_" + test->test_suite_name() +
+         "_" + test->name() + "_" + name;
 }
 
 std::string ReadAll(const std::string& path) {
@@ -147,28 +154,73 @@ TEST(CorpusArtifactTest, MappedBitIdenticalCora) {
   CheckBitIdentity(task, CoraRule(), options, "cora");
 }
 
+std::string FixturePath(const std::string& name) {
+  return std::string(GENLINK_TEST_FIXTURE_DIR) + "/corpus_v2_shards3/" + name;
+}
+
+Result<Dataset> LoadFixtureCsv(const std::string& name) {
+  auto content = ReadFileToString(FixturePath(name));
+  if (!content.ok()) return content.status();
+  CsvDatasetOptions options;
+  options.id_column = "id";
+  return ReadCsvDataset(*content, name, options);
+}
+
+// Weighted blocking round-trips through a fresh artifact, and a legacy
+// artifact whose header records 3 blocking shards (written by `genlink
+// index --blocking-shards 3 --blocking-top-tokens 3` before sharding was
+// removed; see tests/fixtures/corpus_v2_shards3/README.md) still loads
+// and answers bit-identically to a fresh build over the same CSV: the
+// postings layout never depended on the shard count.
 TEST(CorpusArtifactTest, MappedBitIdenticalWeightedShardedBlocking) {
   RestaurantConfig config;
   config.scale = 0.3;
   MatchingTask task = GenerateRestaurant(config);
+  MatchOptions weighted;
+  weighted.blocking_max_tokens = 4;
+  weighted.blocking_min_token_df = 2;
+  CheckBitIdentity(task, RestaurantRule(), weighted, "restaurant_weighted");
+
+  auto target = LoadFixtureCsv("target.csv");
+  ASSERT_TRUE(target.ok()) << target.status().ToString();
+  auto queries = LoadFixtureCsv("queries.csv");
+  ASSERT_TRUE(queries.ok()) << queries.status().ToString();
+  auto rule_text = ReadFileToString(FixturePath("rule.rule"));
+  ASSERT_TRUE(rule_text.ok()) << rule_text.status().ToString();
+  auto rule = ParseRule(*rule_text);
+  ASSERT_TRUE(rule.ok()) << rule.status().ToString();
+  auto mapped = MappedCorpus::Load(FixturePath("corpus.glidx"));
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
   MatchOptions options;
-  options.blocking_max_tokens = 4;
-  options.blocking_min_token_df = 2;
-  options.blocking_shards = 3;
-  CheckBitIdentity(task, RestaurantRule(), options, "restaurant_weighted");
+  options.blocking_max_tokens = 3;
+  auto from_map = MatcherIndex::Build(*mapped, *rule, options);
+  ASSERT_TRUE(from_map.ok()) << from_map.status().ToString();
+  auto fresh = MatcherIndex::Build(*target, *rule, options);
+  EXPECT_EQ((*from_map)->stats().blocking_postings,
+            fresh->stats().blocking_postings);
+  const auto batch =
+      (*from_map)->MatchBatch(queries->entities(), queries->schema());
+  EXPECT_GT(batch.size(), 0u);
+  ExpectSameLinks(batch,
+                  fresh->MatchBatch(queries->entities(), queries->schema()),
+                  "legacy shards=3 batch");
+  for (const Dataset* side : {&*queries, &*target}) {
+    for (const Entity& entity : side->entities()) {
+      ExpectSameLinks((*from_map)->MatchEntity(entity, side->schema()),
+                      fresh->MatchEntity(entity, side->schema()),
+                      "legacy shards=3 entity " + entity.id());
+    }
+  }
 }
 
-TEST(CorpusArtifactTest, WriterRejectsEmptyRuleAndNoValueStore) {
+TEST(CorpusArtifactTest, WriterRejectsEmptyRule) {
   RestaurantConfig config;
   config.scale = 0.1;
   MatchingTask task = GenerateRestaurant(config);
   const std::string path = TempPath("rejects");
   EXPECT_FALSE(
       WriteCorpusArtifact(path, task.a, LinkageRule(), MatchOptions()).ok());
-  MatchOptions no_store;
-  no_store.use_value_store = false;
-  EXPECT_FALSE(
-      WriteCorpusArtifact(path, task.a, RestaurantRule(), no_store).ok());
 }
 
 class MappedServingTest : public ::testing::Test {

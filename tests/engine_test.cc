@@ -159,10 +159,12 @@ TEST_F(EngineTest, DistanceCacheDoesNotChangeResults) {
   }
 }
 
+// The value store serves every cached distance row; with the distance
+// cache off the engine scores through FitnessEvaluator, the reference
+// the store path must match.
 TEST_F(EngineTest, ValueStoreDoesNotChangeResults) {
   EngineConfig with, without;
-  with.use_value_store = true;
-  without.use_value_store = false;
+  without.cache_distances = false;
   EvaluationEngine store_engine(pairs_, task_.Source().schema(),
                                 task_.Target().schema(), {}, with);
   EvaluationEngine plain_engine(pairs_, task_.Source().schema(),
@@ -171,12 +173,12 @@ TEST_F(EngineTest, ValueStoreDoesNotChangeResults) {
                           task_.Target().schema());
   for (const LinkageRule& rule : RandomRules(80, 21)) {
     FitnessResult via_store = store_engine.Evaluate(rule);
-    FitnessResult via_rows = plain_engine.Evaluate(rule);
+    FitnessResult via_plain = plain_engine.Evaluate(rule);
     FitnessResult reference = serial.Evaluate(rule);
-    // Bit-identical across all three paths: interned distances, per-pair
-    // distances from the operator tree, and the serial evaluator.
+    // Bit-identical across all three paths: interned distances, the
+    // uncached engine, and the serial evaluator.
     EXPECT_EQ(via_store.fitness, reference.fitness);
-    EXPECT_EQ(via_rows.fitness, reference.fitness);
+    EXPECT_EQ(via_plain.fitness, reference.fitness);
     EXPECT_EQ(via_store.mcc, reference.mcc);
     EXPECT_EQ(via_store.f_measure, reference.f_measure);
     EXPECT_EQ(via_store.confusion.tp, reference.confusion.tp);
@@ -269,13 +271,13 @@ class EngineLearnTest : public ::testing::Test {
     task_ = GenerateRestaurant(config);
   }
 
-  LearnResult Learn(size_t threads, bool use_value_store = true) {
+  LearnResult Learn(size_t threads, bool cache_distances = true) {
     GenLinkConfig config;
     config.population_size = 50;
     config.max_iterations = 5;
     config.stop_f_measure = 1.1;  // never stop early: exercise all 5
     config.num_threads = threads;
-    config.use_value_store = use_value_store;
+    config.cache_distances = cache_distances;
     GenLink learner(task_.Source(), task_.Target(), config);
     Rng rng(2024);
     auto result = learner.Learn(task_.links, nullptr, rng);
@@ -308,9 +310,11 @@ TEST_F(EngineLearnTest, SameSeedSameTrajectoryAt148Threads) {
   }
 }
 
+// Off, the distance cache (and with it the value store) gives way to
+// FitnessEvaluator: the learning trajectory must not change.
 TEST_F(EngineLearnTest, SameTrajectoryWithValueStoreOnAndOff) {
-  LearnResult with_store = Learn(1, /*use_value_store=*/true);
-  LearnResult without_store = Learn(1, /*use_value_store=*/false);
+  LearnResult with_store = Learn(1, /*cache_distances=*/true);
+  LearnResult without_store = Learn(1, /*cache_distances=*/false);
 
   EXPECT_EQ(ToSexpr(with_store.best_rule), ToSexpr(without_store.best_rule));
   ASSERT_EQ(with_store.trajectory.iterations.size(),

@@ -22,6 +22,7 @@
 #include "datasets/restaurant.h"
 #include "io/link_io.h"
 #include "matcher/matcher.h"
+#include "reference_matcher.h"
 #include "rule/parse.h"
 
 namespace genlink {
@@ -110,8 +111,9 @@ TEST_F(GoldenLinksTest, BestMatchOnlyVariant) {
 }
 
 // The golden bytes must not depend on the execution strategy: blocking
-// vs cross product, value store vs operator tree, 1 vs 4 threads all
-// serialize to the same files.
+// vs cross product, the value-store scorer vs the operator-tree
+// reference (reference_matcher.h, blocking on and off), 1 vs 4 threads
+// all serialize to the same files.
 TEST_F(GoldenLinksTest, OutputIndependentOfExecutionStrategy) {
   MatchOptions base;
   std::string golden = WriteGeneratedLinksCsv(Generate(base));
@@ -120,9 +122,12 @@ TEST_F(GoldenLinksTest, OutputIndependentOfExecutionStrategy) {
   cross.use_blocking = false;
   EXPECT_EQ(WriteGeneratedLinksCsv(Generate(cross)), golden);
 
-  MatchOptions no_store = base;
-  no_store.use_value_store = false;
-  EXPECT_EQ(WriteGeneratedLinksCsv(Generate(no_store)), golden);
+  for (const MatchOptions& options : {base, cross}) {
+    EXPECT_EQ(WriteGeneratedLinksCsv(ReferenceGenerateLinks(
+                  rule_, task_.Source(), task_.Target(), options)),
+              golden)
+        << "operator tree, blocking=" << options.use_blocking;
+  }
 
   MatchOptions threads = base;
   threads.num_threads = 4;

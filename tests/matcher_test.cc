@@ -1,11 +1,14 @@
-// Tests for the execution engine: token blocking recall and agreement of
-// blocked execution with the exhaustive cross product.
+// Tests for the execution engine: token blocking recall, agreement of
+// blocked execution with the exhaustive cross product, and bit-identity
+// of the value-store scorer with the operator-tree reference
+// (reference_matcher.h).
 
 #include <gtest/gtest.h>
 
 #include "datasets/linkedmdb.h"
 #include "datasets/restaurant.h"
 #include "matcher/matcher.h"
+#include "reference_matcher.h"
 #include "rule/builder.h"
 
 namespace genlink {
@@ -117,17 +120,16 @@ TEST_F(MatcherTest, BestMatchTieBreakPrefersSmallestIdOnExactTies) {
   MatchOptions options;
   options.best_match_only = true;
   for (bool use_blocking : {true, false}) {
-    for (bool use_value_store : {true, false}) {
-      options.use_blocking = use_blocking;
-      options.use_value_store = use_value_store;
-      auto links = GenerateLinks(*rule, source, targets, options);
-      ASSERT_EQ(links.size(), 1u)
-          << "blocking=" << use_blocking << " store=" << use_value_store;
-      // Exact tie at score 1.0: "b10" < "b9" lexicographically wins,
-      // although b9 enumerates first.
-      EXPECT_DOUBLE_EQ(links[0].score, 1.0);
-      EXPECT_EQ(links[0].id_b, "b10");
-    }
+    options.use_blocking = use_blocking;
+    auto links = GenerateLinks(*rule, source, targets, options);
+    ASSERT_EQ(links.size(), 1u) << "blocking=" << use_blocking;
+    // Exact tie at score 1.0: "b10" < "b9" lexicographically wins,
+    // although b9 enumerates first.
+    EXPECT_DOUBLE_EQ(links[0].score, 1.0);
+    EXPECT_EQ(links[0].id_b, "b10");
+    ExpectSameLinks(links,
+                    ReferenceGenerateLinks(*rule, source, targets, options),
+                    "blocking=" + std::to_string(use_blocking));
   }
 }
 
@@ -166,7 +168,8 @@ TEST_F(MatcherTest, SourcePropertyExtraction) {
 }
 
 // The value-store matcher path must generate links bit-identical to the
-// per-pair operator-tree path: same pairs, same doubles, same order.
+// per-pair operator-tree reference: same pairs, same doubles, same
+// order.
 TEST(MatcherIntegrationTest, ValueStorePathBitIdenticalOnRestaurant) {
   RestaurantConfig config;
   config.scale = 0.4;
@@ -182,22 +185,15 @@ TEST(MatcherIntegrationTest, ValueStorePathBitIdenticalOnRestaurant) {
   ASSERT_TRUE(rule.ok());
 
   for (bool use_blocking : {true, false}) {
-    MatchOptions with_store, without_store;
-    with_store.use_blocking = without_store.use_blocking = use_blocking;
-    with_store.use_value_store = true;
-    without_store.use_value_store = false;
+    MatchOptions options;
+    options.use_blocking = use_blocking;
     // Restaurant is a dedup task: source matched against itself
     // (exercises the self-match dedup in the compiled path too).
-    auto fast = GenerateLinks(*rule, task.a, task.a, with_store);
-    auto reference = GenerateLinks(*rule, task.a, task.a, without_store);
-    ASSERT_EQ(fast.size(), reference.size()) << "blocking=" << use_blocking;
+    auto fast = GenerateLinks(*rule, task.a, task.a, options);
     EXPECT_GT(fast.size(), 0u);
-    for (size_t i = 0; i < fast.size(); ++i) {
-      EXPECT_EQ(fast[i].id_a, reference[i].id_a);
-      EXPECT_EQ(fast[i].id_b, reference[i].id_b);
-      // Bit-identical scores, not just nearly equal.
-      EXPECT_EQ(fast[i].score, reference[i].score) << i;
-    }
+    // Bit-identical scores, not just nearly equal.
+    ExpectSameLinks(fast, ReferenceGenerateLinks(*rule, task.a, task.a, options),
+                    "blocking=" + std::to_string(use_blocking));
   }
 }
 

@@ -190,6 +190,27 @@ std::string WriteArtifactFile(const std::string& path, LinkageRule rule,
 // ---------------------------------------------------------------------------
 // ServingState: artifact failure paths degrade to stale, never broken.
 
+// Live mode publishes no index(); the snapshot's build time is the live
+// corpus's current base index instead — not the 0 a null index() gave.
+TEST(ServingStateTest, LiveModeReportsBaseIndexBuildSeconds) {
+  const Dataset corpus = MakeCorpus(20);
+  const std::string path = ::testing::TempDir() + "serving_state_live.artifact";
+  WriteArtifactFile(path, NameRule(), "live");
+  ServingState state(corpus, /*num_threads=*/1, LiveCorpusOptions{});
+  EXPECT_EQ(state.snapshot().build_seconds, 0.0);
+
+  ASSERT_TRUE(state.ReloadFromFile(path).ok());
+  ASSERT_EQ(state.index(), nullptr);
+  ASSERT_NE(state.live(), nullptr);
+  EXPECT_GT(state.snapshot().build_seconds, 0.0);
+  EXPECT_EQ(state.snapshot().build_seconds, state.live()->base_build_seconds());
+
+  // A live redeploy recompiles the base index: still reported.
+  WriteArtifactFile(path, NameCityRule(), "live-v2");
+  ASSERT_TRUE(state.ReloadFromFile(path).ok());
+  EXPECT_GT(state.snapshot().build_seconds, 0.0);
+}
+
 TEST(ServingStateTest, FailedReloadsKeepTheOldIndexServing) {
   const Dataset corpus = MakeCorpus(20);
   const std::string good = ::testing::TempDir() + "serving_state_good.artifact";
@@ -680,6 +701,12 @@ TEST_F(ServeDaemonTest, LiveUpsertDeleteCompactRoundTrip) {
   EXPECT_NE(varz->body.find("live_removes 1\n"), std::string::npos);
   EXPECT_NE(varz->body.find("live_compactions 1\n"), std::string::npos);
   EXPECT_NE(varz->body.find("live_delta_store_bytes "), std::string::npos);
+  const size_t build_at = varz->body.find("serve_rule_build_seconds ");
+  ASSERT_NE(build_at, std::string::npos);
+  EXPECT_GT(std::stod(varz->body.substr(
+                build_at + std::string("serve_rule_build_seconds ").size())),
+            0.0)
+      << varz->body;
   auto health2 = HttpCall(port(), "GET", "/healthz");
   ASSERT_TRUE(health2.ok());
   EXPECT_EQ(health2->body, "ok generation=1 stale=0 epoch=3\n");

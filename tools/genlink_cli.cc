@@ -191,9 +191,6 @@ const std::vector<CommandSpec>& Commands() {
            {"blocking-min-df", "N",
             "skip blocking tokens seen in fewer than N target entities "
             "(default 1 = keep all)"},
-           {"blocking-shards", "N",
-            "partition blocking postings across N hash shards (default 1; "
-            "links are identical for any value)"},
        },
        "match rebuilds the execution artifacts on every invocation; for\n"
        "repeated matching against the same corpus use `genlink query`"},
@@ -217,9 +214,6 @@ const std::vector<CommandSpec>& Commands() {
            {"blocking-min-df", "N",
             "skip blocking tokens seen in fewer than N corpus entities "
             "(default 1 = keep all)"},
-           {"blocking-shards", "N",
-            "partition blocking postings across N hash shards (default 1; "
-            "links are identical for any value)"},
        },
        "index precomputes the rule's target-side value plans and the\n"
        "token-blocking postings into one flat binary file that `query\n"
@@ -254,9 +248,6 @@ const std::vector<CommandSpec>& Commands() {
            {"blocking-min-df", "N",
             "skip blocking tokens seen in fewer than N corpus entities "
             "(default 1 = keep all)"},
-           {"blocking-shards", "N",
-            "partition blocking postings across N hash shards (default 1; "
-            "links are identical for any value)"},
        },
        "query builds the index once (token blocking + compiled value\n"
        "store, api/matcher_index.h), then answers each input entity with\n"
@@ -683,9 +674,7 @@ int RunMatch(const Args& args) {
       !FlagAsCount(args, "match", "blocking-top-tokens", 0,
                    &options.blocking_max_tokens) ||
       !FlagAsCount(args, "match", "blocking-min-df", 1,
-                   &options.blocking_min_token_df) ||
-      !FlagAsCount(args, "match", "blocking-shards", 1,
-                   &options.blocking_shards)) {
+                   &options.blocking_min_token_df)) {
     return 2;
   }
 
@@ -739,11 +728,9 @@ int RunIndex(const Args& args) {
   size_t threads = 0;
   size_t top_tokens = 0;
   size_t min_df = 1;
-  size_t shards = 1;
   if (!FlagAsCount(args, "index", "threads", 0, &threads) ||
       !FlagAsCount(args, "index", "blocking-top-tokens", 0, &top_tokens) ||
-      !FlagAsCount(args, "index", "blocking-min-df", 1, &min_df) ||
-      !FlagAsCount(args, "index", "blocking-shards", 1, &shards)) {
+      !FlagAsCount(args, "index", "blocking-min-df", 1, &min_df)) {
     return 2;
   }
 
@@ -775,7 +762,6 @@ int RunIndex(const Args& args) {
   if (args.Has("blocking-min-df")) {
     artifact.options.blocking_min_token_df = min_df;
   }
-  if (args.Has("blocking-shards")) artifact.options.blocking_shards = shards;
 
   const char* out = args.Get("out");
   ThreadPool pool(threads);
@@ -824,13 +810,11 @@ int RunQuery(const Args& args) {
   size_t threads_override = 0;
   size_t top_tokens_override = 0;
   size_t min_df_override = 1;
-  size_t shards_override = 1;
   if (!FlagAsDouble(args, "query", "threshold", &threshold_override) ||
       !FlagAsCount(args, "query", "threads", 0, &threads_override) ||
       !FlagAsCount(args, "query", "blocking-top-tokens", 0,
                    &top_tokens_override) ||
-      !FlagAsCount(args, "query", "blocking-min-df", 1, &min_df_override) ||
-      !FlagAsCount(args, "query", "blocking-shards", 1, &shards_override)) {
+      !FlagAsCount(args, "query", "blocking-min-df", 1, &min_df_override)) {
     return 2;
   }
 
@@ -876,9 +860,6 @@ int RunQuery(const Args& args) {
   if (args.Has("blocking-min-df")) {
     artifact.options.blocking_min_token_df = min_df_override;
   }
-  if (args.Has("blocking-shards")) {
-    artifact.options.blocking_shards = shards_override;
-  }
 
   // Build once; every query below is a cheap lookup against these
   // artifacts (api/matcher_index.h). The mapped build fails with a
@@ -897,11 +878,9 @@ int RunQuery(const Args& args) {
   MatcherIndexStats stats = index->stats();
   std::fprintf(stderr,
                "index built over %zu entities in %.3fs "
-               "(%zu blocking tokens, %zu postings in %zu shard%s, "
-               "%zu value plans)\n",
+               "(%zu blocking tokens, %zu postings, %zu value plans)\n",
                stats.target_entities, stats.build_seconds,
                stats.blocking_tokens, stats.blocking_postings,
-               stats.blocking_shards, stats.blocking_shards == 1 ? "" : "s",
                stats.value_plans);
 
   // Query source: a CSV file or stdin, consumed INCREMENTALLY — each
@@ -1365,8 +1344,9 @@ int RunGen(const Args& args) {
 
   // gen --deltas: a deterministic update/delete stream against the
   // target side, written in the delta CSV format `genlink apply
-  // --deltas` consumes.
-  if (delta_config.num_deltas > 0) {
+  // --deltas` consumes. Only when asked for: the library default of
+  // num_deltas is not the flag's documented default of 0.
+  if (args.Has("deltas") && delta_config.num_deltas > 0) {
     delta_config.base = config;
     const SyntheticDeltas deltas = GenerateSyntheticDeltas(delta_config);
     std::vector<LiveOp> ops;
