@@ -1,6 +1,7 @@
 #include "api/matcher_index.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <map>
 #include <tuple>
@@ -23,21 +24,6 @@ std::vector<const Entity*> DatasetPointers(const Dataset& dataset) {
   pointers.reserve(dataset.size());
   for (const Entity& entity : dataset.entities()) pointers.push_back(&entity);
   return pointers;
-}
-
-/// The documented best_match_only winner: highest score, then smallest
-/// id_b (see MatchOptions::best_match_only). min_element under this
-/// "preferred first" order is deterministic because (score, id_b) is
-/// unique per target within one source entity's links.
-void KeepBestTarget(std::vector<GeneratedLink>& links) {
-  auto best = std::min_element(links.begin(), links.end(),
-                               [](const GeneratedLink& x, const GeneratedLink& y) {
-                                 if (x.score != y.score) return x.score > y.score;
-                                 return x.id_b < y.id_b;
-                               });
-  GeneratedLink keep = std::move(*best);
-  links.clear();
-  links.push_back(std::move(keep));
 }
 
 /// The total order every full-join surface returns (and link_io relies
@@ -220,33 +206,11 @@ Status MatcherIndex::CompileLocked() {
                                              corpus.pool.get());
 
   // Query scorer: the same comparison sites in the same pre-order, but
-  // with the source side evaluated per query entity. Target plans are
-  // re-requested from the store (all hits against compiled_'s batch);
-  // distinct source subtrees collapse to one evaluation slot.
-  RuleHashInfo info = AnalyzeRule(rule_);
-  std::vector<const ValueOperator*> target_ops;
-  target_ops.reserve(info.comparisons.size());
-  for (const ComparisonSite& site : info.comparisons) {
-    target_ops.push_back(site.op->target());
-  }
-  std::vector<PlanId> target_plans(target_ops.size());
-  corpus.store->CompileBatch(ValueStore::Side::kTarget, target_ops,
-                             target_plans, corpus.pool.get());
-
-  query_ops_.clear();
-  query_sites_.clear();
-  query_sites_.reserve(info.comparisons.size());
-  std::unordered_map<uint64_t, uint32_t> slot_by_hash;
-  for (size_t k = 0; k < info.comparisons.size(); ++k) {
-    const ValueOperator* source_op = info.comparisons[k].op->source();
-    auto [it, inserted] = slot_by_hash.try_emplace(
-        ValueOperatorHash(*source_op),
-        static_cast<uint32_t>(query_ops_.size()));
-    if (inserted) query_ops_.push_back(source_op);
-    query_sites_.push_back(
-        {info.comparisons[k].op, it->second, target_plans[k]});
-  }
+  // with the source side evaluated per query entity. compiled_ already
+  // materialized every target plan, so resolution only looks them up.
   reader_ = corpus.store.get();
+  [[maybe_unused]] const bool complete = BuildQuerySites(&ValueOperatorHash);
+  assert(complete);
   return Status::Ok();
 }
 
@@ -290,29 +254,34 @@ Status MatcherIndex::CompileMappedLocked() {
   // in-process ValueOperatorHash mixes function-instance pointers and
   // would never match a file written by another process. A miss means
   // the artifact predates this rule.
-  const RuleHashInfo info = AnalyzeRule(rule_);
+  reader_ = &mapped;
+  if (!BuildQuerySites(&StableValueOperatorHash)) {
+    reader_ = nullptr;
+    return Status::FailedPrecondition(
+        "corpus artifact '" + mapped.path() +
+        "' has no precomputed value plan for a target-side subtree of "
+        "this rule; re-run `genlink index` with the new rule");
+  }
+  return Status::Ok();
+}
+
+bool MatcherIndex::BuildQuerySites(
+    uint64_t (*target_hash)(const ValueOperator&)) {
+  // Distinct source subtrees collapse to one evaluation slot per query.
   query_ops_.clear();
   query_sites_.clear();
-  query_sites_.reserve(info.comparisons.size());
   std::unordered_map<uint64_t, uint32_t> slot_by_hash;
-  for (const ComparisonSite& site : info.comparisons) {
-    const std::optional<PlanId> plan =
-        mapped.FindPlan(ValueReader::Side::kTarget,
-                        StableValueOperatorHash(*site.op->target()));
-    if (!plan.has_value()) {
-      return Status::FailedPrecondition(
-          "corpus artifact '" + mapped.path() +
-          "' has no precomputed value plan for a target-side subtree of "
-          "this rule; re-run `genlink index` with the new rule");
-    }
-    const ValueOperator* source_op = site.op->source();
+  for (const ComparisonOperator* cmp : CollectComparisons(rule_)) {
+    const std::optional<PlanId> plan = reader_->FindPlan(
+        ValueReader::Side::kTarget, target_hash(*cmp->target()));
+    if (!plan.has_value()) return false;
+    const ValueOperator* source_op = cmp->source();
     auto [it, inserted] = slot_by_hash.try_emplace(
         ValueOperatorHash(*source_op), static_cast<uint32_t>(query_ops_.size()));
     if (inserted) query_ops_.push_back(source_op);
-    query_sites_.push_back({site.op, it->second, *plan});
+    query_sites_.push_back({it->second, *plan});
   }
-  reader_ = &mapped;
-  return Status::Ok();
+  return true;
 }
 
 std::shared_ptr<const MatcherIndex> MatcherIndex::WithRule(
@@ -365,49 +334,32 @@ void MatcherIndex::EvaluateQueryOps(const Entity& entity, const Schema& schema,
 
 double MatcherIndex::QueryScore(const QueryValues& qv,
                                 size_t target_index) const {
-  if (rule_.empty()) return 0.0;
-  size_t next_site = 0;
-  return QueryNode(*rule_.root(), qv, target_index, next_site);
-}
-
-double MatcherIndex::QueryNode(const SimilarityOperator& node,
-                               const QueryValues& qv, size_t target_index,
-                               size_t& next_site) const {
   // May run on a pool worker (MatchBatch/MatchDataset tasks) while the
   // dispatching frame holds the reader lock; free in release builds.
   corpus_->mutex.AssertReaderHeld();
-  if (node.kind() == OperatorKind::kComparison) {
-    const QuerySite& site = query_sites_[next_site++];
-    const ComparisonOperator& cmp = *site.op;
+  if (rule_.empty()) return 0.0;
+  return ScoreBySites(*rule_.root(), [&](size_t k,
+                                         const ComparisonOperator& cmp) {
+    const QuerySite& site = query_sites_[k];
     const std::vector<std::string_view>& source_views =
         qv.views[site.source_slot];
     const std::span<const ValueId> target_values = reader_->Values(
         ValueReader::Side::kTarget, site.target_plan, target_index);
-    double distance;
+    // PairDistance's empty-side convention: similarity 0.
     if (source_views.empty() || target_values.empty()) {
-      // PairDistance's empty-side convention: similarity 0.
-      distance = kInfiniteDistance;
-    } else {
-      thread_local std::vector<std::string_view> scratch;
-      scratch.clear();
-      for (ValueId id : target_values) {
-        scratch.push_back(reader_->View(id));
-      }
-      // As in CompiledRule::EvalNode, the comparison threshold doubles
-      // as the distance bound; DistanceViews is bit-identical to the
-      // TokenIdDistance path PairDistance takes for set measures
-      // (distance/distance_measure.h).
-      distance = cmp.measure()->DistanceViews(
-          source_views, std::span<const std::string_view>(scratch),
-          cmp.threshold());
+      return kInfiniteDistance;
     }
-    return ThresholdedScore(distance, cmp.threshold());
-  }
-  const auto& agg = static_cast<const AggregationOperator&>(node);
-  return AggregateOperandScores(
-      *agg.function(), agg.operands(), [&](const SimilarityOperator& op) {
-        return QueryNode(op, qv, target_index, next_site);
-      });
+    thread_local std::vector<std::string_view> scratch;
+    scratch.clear();
+    for (ValueId id : target_values) scratch.push_back(reader_->View(id));
+    // As in CompiledRule::Score, the comparison threshold doubles as the
+    // distance bound; DistanceViews is bit-identical to the
+    // TokenIdDistance path PairDistance takes for set measures
+    // (distance/distance_measure.h).
+    return cmp.measure()->DistanceViews(
+        source_views, std::span<const std::string_view>(scratch),
+        cmp.threshold());
+  });
 }
 
 std::vector<GeneratedLink> MatcherIndex::MatchEntityUnlocked(
@@ -457,11 +409,7 @@ std::vector<GeneratedLink> MatcherIndex::MatchEntityUnlocked(
     }
   }
 
-  std::sort(links.begin(), links.end(), [](const auto& x, const auto& y) {
-    if (x.score != y.score) return x.score > y.score;
-    return x.id_b < y.id_b;
-  });
-  if (options_.best_match_only && links.size() > 1) links.resize(1);
+  OrderQueryLinks(links, options_.best_match_only);
   return links;
 }
 
@@ -550,7 +498,7 @@ std::vector<GeneratedLink> MatcherIndex::MatchDataset(
     } else {
       for (size_t j = 0; j < corpus_->target_size(); ++j) consider(j);
     }
-    if (options_.best_match_only && local.size() > 1) KeepBestTarget(local);
+    if (options_.best_match_only) OrderQueryLinks(local, true);
     if (!local.empty()) {
       MutexLock links_lock(links_mutex);
       for (auto& link : local) links.push_back(std::move(link));

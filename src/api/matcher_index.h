@@ -251,9 +251,8 @@ class MatcherIndex {
   /// from the query entity's pre-evaluated values, target side from the
   /// store plan.
   struct QuerySite {
-    const ComparisonOperator* op = nullptr;
     uint32_t source_slot = 0;  // into query_ops_
-    uint32_t target_plan = 0;  // PlanId in the corpus store
+    uint32_t target_plan = 0;  // PlanId in reader_
   };
 
   MatcherIndex(std::shared_ptr<Corpus> corpus, LinkageRule rule,
@@ -268,6 +267,11 @@ class MatcherIndex {
   /// The mapped-corpus arm of CompileLocked: resolves plans from the
   /// artifact and borrows its blocking postings instead of building.
   Status CompileMappedLocked();
+  /// Builds query_ops_ and query_sites_ for rule_'s comparisons in
+  /// pre-order, resolving each target subtree to the reader_ plan keyed
+  /// by `target_hash` of it (the two compile arms differ only in that
+  /// key). False when reader_ lacks a plan for some target subtree.
+  bool BuildQuerySites(uint64_t (*target_hash)(const ValueOperator&));
 
   /// Pre-evaluated source-side values of one query entity.
   struct QueryValues;
@@ -276,10 +280,6 @@ class MatcherIndex {
   /// Score of target slot `target_index` against a query's values; 0.0
   /// for the empty rule, as LinkageRule::Evaluate.
   double QueryScore(const QueryValues& qv, size_t target_index) const;
-  /// Mirror of CompiledRule::EvalNode with the source side read from
-  /// `qv` instead of store plans.
-  double QueryNode(const SimilarityOperator& node, const QueryValues& qv,
-                   size_t target_index, size_t& next_site) const;
 
   /// MatchEntity body; caller holds the corpus read lock. Probes the
   /// blocking index (or scans the full target when blocking is off). A

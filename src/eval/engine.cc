@@ -5,38 +5,9 @@
 
 #include "distance/distance_measure.h"
 #include "eval/confusion_matrix.h"
+#include "rule/operators.h"
 
 namespace genlink {
-namespace {
-
-// Mirrors SimilarityOperator::Evaluate with the raw distance of each
-// comparison read from its cached row. The aggregation arithmetic is
-// literally shared (AggregateOperandScores, rule/operators.h) and
-// thresholding is the same ThresholdedScore call, so the result is
-// bit-identical to the uncached path.
-//
-// `rows` holds one distance row per comparison of the rule, in the
-// pre-order RuleHashInfo::comparisons uses; this walk visits the
-// comparisons in the same pre-order, so `next_row` pairs each
-// comparison with its row by position — no per-pair map lookup in the
-// hot loop. The caller resets `next_row` to 0 for every pair.
-double EvalNode(const SimilarityOperator& node, size_t pair_index,
-                std::span<const std::vector<double>* const> rows,
-                size_t& next_row) {
-  if (node.kind() == OperatorKind::kComparison) {
-    const auto& cmp = static_cast<const ComparisonOperator&>(node);
-    assert(next_row < rows.size());
-    const std::vector<double>& row = *rows[next_row++];
-    return ThresholdedScore(row[pair_index], cmp.threshold());
-  }
-  const auto& agg = static_cast<const AggregationOperator&>(node);
-  return AggregateOperandScores(
-      *agg.function(), agg.operands(), [&](const SimilarityOperator& op) {
-        return EvalNode(op, pair_index, rows, next_row);
-      });
-}
-
-}  // namespace
 
 const FitnessResult* FitnessCache::Find(uint64_t hash) const {
   auto it = entries_.find(hash);
@@ -100,12 +71,20 @@ void EvaluationEngine::FillDistanceRowFromStore(const ComparisonOperator& op,
 ConfusionMatrix EvaluationEngine::EvaluateWithRows(
     const LinkageRule& rule,
     std::span<const std::vector<double>* const> rows) const {
+  // `rows` holds one distance row per comparison of the rule, in the
+  // pre-order RuleHashInfo::comparisons uses — the order ScoreBySites
+  // numbers comparisons in — so each comparison reads its row by
+  // position, with no per-pair map lookup in the hot loop. The walk
+  // shares SimilarityOperator::Evaluate's thresholding and aggregation
+  // arithmetic, so scores are bit-identical to the uncached path.
   ConfusionMatrix cm;
   for (size_t p = 0; p < pairs_.size(); ++p) {
-    size_t next_row = 0;
-    bool predicted =
+    const bool predicted =
         !rule.empty() &&
-        EvalNode(*rule.root(), p, rows, next_row) >= kMatchThreshold;
+        ScoreBySites(*rule.root(), [&](size_t k, const ComparisonOperator&) {
+          assert(k < rows.size());
+          return (*rows[k])[p];
+        }) >= kMatchThreshold;
     if (pairs_[p].is_match) {
       predicted ? ++cm.tp : ++cm.fn;
     } else {

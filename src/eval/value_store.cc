@@ -269,37 +269,22 @@ CompiledRule::CompiledRule(const LinkageRule& rule, ValueStore& store,
 
   sites_.reserve(info.comparisons.size());
   for (size_t k = 0; k < info.comparisons.size(); ++k) {
-    sites_.push_back(
-        {info.comparisons[k].op, source_plans[k], target_plans[k]});
+    sites_.push_back({source_plans[k], target_plans[k]});
   }
-}
-
-double CompiledRule::EvalNode(const SimilarityOperator& node,
-                              size_t source_entity, size_t target_entity,
-                              size_t& next_site) const {
-  if (node.kind() == OperatorKind::kComparison) {
-    assert(next_site < sites_.size());
-    const Site& site = sites_[next_site++];
-    const ComparisonOperator& cmp = *site.op;
-    // The threshold doubles as the distance bound: every distance the
-    // score can distinguish (d <= θ) is exact, everything beyond maps
-    // to similarity 0 either way.
-    const double distance =
-        store_->PairDistance(*cmp.measure(), site.source_plan, source_entity,
-                             site.target_plan, target_entity, cmp.threshold());
-    return ThresholdedScore(distance, cmp.threshold());
-  }
-  const auto& agg = static_cast<const AggregationOperator&>(node);
-  return AggregateOperandScores(
-      *agg.function(), agg.operands(), [&](const SimilarityOperator& op) {
-        return EvalNode(op, source_entity, target_entity, next_site);
-      });
 }
 
 double CompiledRule::Score(size_t source_entity, size_t target_entity) const {
   if (root_ == nullptr) return 0.0;
-  size_t next_site = 0;
-  return EvalNode(*root_, source_entity, target_entity, next_site);
+  return ScoreBySites(*root_, [&](size_t k, const ComparisonOperator& cmp) {
+    assert(k < sites_.size());
+    const Site& site = sites_[k];
+    // The threshold doubles as the distance bound: every distance the
+    // score can distinguish (d <= θ) is exact, everything beyond maps
+    // to similarity 0 either way.
+    return store_->PairDistance(*cmp.measure(), site.source_plan,
+                                source_entity, site.target_plan,
+                                target_entity, cmp.threshold());
+  });
 }
 
 }  // namespace genlink

@@ -253,13 +253,9 @@ class CompiledRule {
 
  private:
   struct Site {
-    const ComparisonOperator* op = nullptr;
     PlanId source_plan = 0;
     PlanId target_plan = 0;
   };
-
-  double EvalNode(const SimilarityOperator& node, size_t source_entity,
-                  size_t target_entity, size_t& next_site) const;
 
   const SimilarityOperator* root_ = nullptr;
   const ValueStore* store_ = nullptr;

@@ -10,8 +10,6 @@
 #include "io/corpus_artifact.h"
 #include "matcher/blocking.h"
 #include "rule/operators.h"
-#include "text/case_fold.h"
-#include "text/tokenizer.h"
 
 namespace genlink {
 namespace {
@@ -21,28 +19,22 @@ double Elapsed(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Pre-order comparison sites of a rule — the SAME walk order as the
-/// scoring recursion below and as MatcherIndex's query sites, which is
-/// what lets site index k name one comparison in both places.
-void CollectSites(const SimilarityOperator& node,
-                  std::vector<const ComparisonOperator*>& out) {
-  if (node.kind() == OperatorKind::kComparison) {
-    out.push_back(static_cast<const ComparisonOperator*>(&node));
-    return;
-  }
-  const auto& agg = static_cast<const AggregationOperator&>(node);
-  for (const auto& operand : agg.operands()) CollectSites(*operand, out);
-}
-
 }  // namespace
 
 /// The deployed rule compiled for the delta side: the rule tree (the
 /// snapshot owns its clone — base index, delta scorer and delta entries
-/// must agree on operator identity), its comparison sites in pre-order,
-/// and the target-side property names delta blocking keys come from.
+/// must agree on operator identity), its comparison sites in pre-order
+/// (CollectComparisons: the order ScoreBySites numbers them in, and the
+/// order of DeltaEntry::site_values), and the target-side property
+/// names delta blocking keys come from.
 struct LiveCorpus::RuleProgram {
+  explicit RuleProgram(const LinkageRule& deployed)
+      : rule(deployed.Clone()),
+        sites(CollectComparisons(rule)),
+        blocking_properties(TargetProperties(rule)) {}
+
   LinkageRule rule;
-  std::vector<const ComparisonOperator*> sites;
+  std::vector<ComparisonOperator*> sites;
   std::vector<std::string> blocking_properties;
 };
 
@@ -76,50 +68,6 @@ struct LiveCorpus::Snapshot {
   /// merged links.
   MatchOptions options;
 };
-
-namespace {
-
-/// Scores one delta entry against a query entity: the delta-side mirror
-/// of MatcherIndex::QueryNode. The target side reads the entry's
-/// pre-evaluated site values instead of interned store spans — same
-/// bytes, same multiset order, same DistanceViews call with the
-/// comparison threshold as bound, same empty-side convention — so delta
-/// scores are bit-identical to what a fresh build would compute for the
-/// same pair (the correctness gate of this subsystem).
-double ScoreDeltaNode(const SimilarityOperator& node,
-                      const std::vector<const ComparisonOperator*>& sites,
-                      const std::vector<ValueSet>& query_values,
-                      const DeltaEntry& entry, size_t& next_site) {
-  if (node.kind() == OperatorKind::kComparison) {
-    const size_t k = next_site++;
-    const ComparisonOperator& cmp = *sites[k];
-    const ValueSet& source = query_values[k];
-    const ValueSet& target = entry.site_values[k];
-    double distance;
-    if (source.empty() || target.empty()) {
-      // PairDistance's empty-side convention: similarity 0.
-      distance = kInfiniteDistance;
-    } else {
-      thread_local std::vector<std::string_view> source_views;
-      thread_local std::vector<std::string_view> target_views;
-      source_views.clear();
-      target_views.clear();
-      for (const std::string& value : source) source_views.push_back(value);
-      for (const std::string& value : target) target_views.push_back(value);
-      distance = cmp.measure()->DistanceViews(
-          std::span<const std::string_view>(source_views),
-          std::span<const std::string_view>(target_views), cmp.threshold());
-    }
-    return ThresholdedScore(distance, cmp.threshold());
-  }
-  const auto& agg = static_cast<const AggregationOperator&>(node);
-  return AggregateOperandScores(
-      *agg.function(), agg.operands(), [&](const SimilarityOperator& op) {
-        return ScoreDeltaNode(op, sites, query_values, entry, next_site);
-      });
-}
-
-}  // namespace
 
 LiveCorpus::LiveCorpus() = default;
 LiveCorpus::~LiveCorpus() = default;
@@ -158,10 +106,7 @@ Result<std::unique_ptr<LiveCorpus>> LiveCorpus::CreateImpl(
     const LinkageRule& rule, const MatchOptions& options,
     const LiveCorpusOptions& live_options) {
   GENLINK_RETURN_IF_ERROR(ValidateConfig(rule, options));
-  auto program = std::make_shared<RuleProgram>();
-  program->rule = rule.Clone();
-  CollectSites(*program->rule.root(), program->sites);
-  program->blocking_properties = TargetProperties(program->rule);
+  auto program = std::make_shared<const RuleProgram>(rule);
 
   std::unique_ptr<LiveCorpus> live(new LiveCorpus());
   live->mapped_ = mapped;
@@ -453,10 +398,7 @@ Status LiveCorpus::CompactTo(const std::string& artifact_path) {
 Status LiveCorpus::DeployRule(const LinkageRule& rule,
                               const MatchOptions& options) {
   GENLINK_RETURN_IF_ERROR(ValidateConfig(rule, options));
-  auto program = std::make_shared<RuleProgram>();
-  program->rule = rule.Clone();
-  CollectSites(*program->rule.root(), program->sites);
-  program->blocking_properties = TargetProperties(program->rule);
+  auto program = std::make_shared<const RuleProgram>(rule);
 
   WriterMutexLock lock(mutex_);
   // Rebuild the base index first — over a mapped base this can fail
@@ -551,32 +493,24 @@ std::vector<GeneratedLink> LiveCorpus::MatchOne(const Snapshot& snap,
     query_values[k] = program.sites[k]->source()->Evaluate(entity, schema);
   }
 
-  // Candidates: probe the delta postings with the tokens of every
-  // property of the query (the ProbePostings contract — the query
-  // schema generally differs from the indexed one), or scan every live
-  // entry when blocking is off. Sorted-unique so enumeration order can
-  // never reach the output.
-  std::vector<uint32_t> candidates;
-  if (snap.postings != nullptr) {
-    for (PropertyId p = 0; p < schema.NumProperties(); ++p) {
-      for (const auto& value : entity.Values(p)) {
-        for (auto& token : TokenizeAlnum(ToLowerAscii(value))) {
-          const auto it = snap.postings->find(token);
-          if (it == snap.postings->end()) continue;
-          candidates.insert(candidates.end(), it->second.begin(),
-                            it->second.end());
-        }
-      }
-    }
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-  } else {
-    candidates = *snap.delta_live;
-  }
+  // Candidates: probe the delta postings exactly as the base index
+  // probes its own (ProbeCandidates), or scan every live entry when
+  // blocking is off. Sorted either way, so enumeration order can never
+  // reach the output.
+  const std::vector<size_t> candidates =
+      snap.postings != nullptr
+          ? ProbeCandidates(entity, schema, snap.delta.count,
+                            [&](const std::string& token) {
+                              const auto it = snap.postings->find(token);
+                              return it == snap.postings->end()
+                                         ? std::span<const uint32_t>()
+                                         : std::span<const uint32_t>(it->second);
+                            })
+          : std::vector<size_t>(snap.delta_live->begin(),
+                                snap.delta_live->end());
 
   size_t scanned = 0;
-  for (uint32_t slot : candidates) {
+  for (const size_t slot : candidates) {
     if (cancel != nullptr && (++scanned & 63) == 0 && cancel->Cancelled()) {
       break;
     }
@@ -584,23 +518,37 @@ std::vector<GeneratedLink> LiveCorpus::MatchOne(const Snapshot& snap,
     // Serving-only semantics, as on the base side: a record is never
     // its own duplicate.
     if (entry.entity.id() == entity.id()) continue;
-    size_t next_site = 0;
-    const double score = ScoreDeltaNode(*program.rule.root(), program.sites,
-                                        query_values, entry, next_site);
+    // The target side reads the entry's pre-evaluated site values
+    // instead of interned store spans — same bytes, same multiset
+    // order, same DistanceViews call with the comparison threshold as
+    // bound, same empty-side convention as the base index's query
+    // scorer — so delta scores are bit-identical to what a fresh build
+    // would compute for the same pair (the correctness gate of this
+    // subsystem).
+    const double score = ScoreBySites(
+        *program.rule.root(), [&](size_t k, const ComparisonOperator& cmp) {
+          const ValueSet& source = query_values[k];
+          const ValueSet& target = entry.site_values[k];
+          if (source.empty() || target.empty()) return kInfiniteDistance;
+          thread_local std::vector<std::string_view> source_views;
+          thread_local std::vector<std::string_view> target_views;
+          source_views.assign(source.begin(), source.end());
+          target_views.assign(target.begin(), target.end());
+          return cmp.measure()->DistanceViews(
+              std::span<const std::string_view>(source_views),
+              std::span<const std::string_view>(target_views),
+              cmp.threshold());
+        });
     if (score >= snap.options.threshold) {
       links.push_back({entity.id(), entry.entity.id(), score});
     }
   }
 
-  // Merge under the one documented order — score descending, id_b
-  // ascending (a strict total order here: every live id occurs exactly
-  // once across base and delta) — then best-match reduce, exactly as a
-  // fresh build over the logical corpus would.
-  std::sort(links.begin(), links.end(), [](const auto& x, const auto& y) {
-    if (x.score != y.score) return x.score > y.score;
-    return x.id_b < y.id_b;
-  });
-  if (snap.options.best_match_only && links.size() > 1) links.resize(1);
+  // Merge under the one per-query order (a strict total order here:
+  // every live id occurs exactly once across base and delta), then
+  // best-match reduce, exactly as a fresh build over the logical corpus
+  // would.
+  OrderQueryLinks(links, snap.options.best_match_only);
   return links;
 }
 

@@ -29,8 +29,9 @@
 // Two ingredients make that hold:
 //
 //   * per-pair scores are corpus-independent: delta entities are scored
-//     by the same DistanceViews walk the query scorer uses, over the
-//     same value multisets in the same evaluation order;
+//     by the same ScoreBySites walk and DistanceViews calls the query
+//     scorer uses, over the same value multisets in the same evaluation
+//     order;
 //   * candidate sets are corpus-independent ONLY for the df-independent
 //     blocking configuration (index every token: blocking_max_tokens
 //     == 0, blocking_min_token_df <= 1). Weighted key selection ranks

@@ -112,14 +112,13 @@ std::vector<std::vector<std::string>> ComputeEntityKeys(
 
 /// Thread-local epoch-stamped membership scratch for candidate
 /// deduplication: candidate sets run to hundreds of entries per query
-/// (one per shared token) and this path sits inside the matcher's
+/// (one per shared token) and the probe sits inside the matcher's
 /// per-source-entity loop, so a hash set per call would dominate.
 /// Thread-local so concurrent queries — from the matcher pool or
 /// external callers — never share it; the epoch bump makes clearing
-/// O(1). Shared by all index instances on a thread: every call bumps
-/// the epoch, so stale stamps from another index can never collide
-/// within a call. tests/blocking_concurrency_test.cc exercises this
-/// under TSan.
+/// O(1). Shared by every index on a thread: each probe bumps the epoch,
+/// so stale stamps from an earlier probe can never collide within a
+/// call. tests/blocking_concurrency_test.cc exercises this under TSan.
 struct StampScratch {
   std::vector<uint32_t> stamp;
   uint32_t epoch = 0;
@@ -140,34 +139,6 @@ struct StampScratch {
     return true;
   }
 };
-
-StampScratch& TlsStamp() {
-  thread_local StampScratch scratch;
-  return scratch;
-}
-
-/// Probes `index` with every token of every property of `entity` and
-/// appends the deduplicated hits (unsorted posting order) to `out`. The
-/// scratch must have been Begin()-started by the caller.
-void ProbePostings(
-    const std::unordered_map<std::string, std::vector<size_t>>& index,
-    const Entity& entity, const Schema& schema, StampScratch& scratch,
-    std::vector<size_t>& out) {
-  // Probe with the tokens of every property of the query entity; the
-  // source schema generally differs from the indexed one, so all
-  // properties are used.
-  for (PropertyId p = 0; p < schema.NumProperties(); ++p) {
-    for (const auto& value : entity.Values(p)) {
-      for (auto& token : TokenizeAlnum(ToLowerAscii(value))) {
-        auto it = index.find(token);
-        if (it == index.end()) continue;
-        for (size_t j : it->second) {
-          if (scratch.Insert(j)) out.push_back(j);
-        }
-      }
-    }
-  }
-}
 
 }  // namespace
 
@@ -195,20 +166,39 @@ TokenBlockingIndex::TokenBlockingIndex(const Dataset& dataset,
       ComputeEntityKeys(dataset, resolved, options);
   for (size_t i = 0; i < keys.size(); ++i) {
     for (auto& token : keys[i]) {
-      index_[std::move(token)].push_back(i);
+      index_[std::move(token)].push_back(static_cast<uint32_t>(i));
       ++postings_;
     }
   }
 }
 
-std::vector<size_t> TokenBlockingIndex::Candidates(const Entity& entity,
-                                                   const Schema& schema) const {
-  StampScratch& scratch = TlsStamp();
-  scratch.Begin(dataset_->size());
+std::vector<size_t> ProbeCandidates(const Entity& entity, const Schema& schema,
+                                    size_t num_entities,
+                                    const PostingsLookup& postings) {
+  thread_local StampScratch scratch;
+  scratch.Begin(num_entities);
   std::vector<size_t> out;
-  ProbePostings(index_, entity, schema, scratch, out);
+  for (PropertyId p = 0; p < schema.NumProperties(); ++p) {
+    for (const auto& value : entity.Values(p)) {
+      for (const auto& token : TokenizeAlnum(ToLowerAscii(value))) {
+        for (const uint32_t j : postings(token)) {
+          if (scratch.Insert(j)) out.push_back(j);
+        }
+      }
+    }
+  }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+std::vector<size_t> TokenBlockingIndex::Candidates(const Entity& entity,
+                                                   const Schema& schema) const {
+  return ProbeCandidates(
+      entity, schema, dataset_->size(), [this](const std::string& token) {
+        const auto it = index_.find(token);
+        return it == index_.end() ? std::span<const uint32_t>()
+                                  : std::span<const uint32_t>(it->second);
+      });
 }
 
 std::vector<std::string> SourceProperties(const LinkageRule& rule) {

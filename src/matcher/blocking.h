@@ -22,6 +22,9 @@
 #ifndef GENLINK_MATCHER_BLOCKING_H_
 #define GENLINK_MATCHER_BLOCKING_H_
 
+#include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -65,14 +68,30 @@ class BlockingIndex {
   virtual size_t NumPostings() const = 0;
 };
 
+/// The postings of one query token: the indexes of the entities indexed
+/// under `token`, empty when the token is not indexed.
+using PostingsLookup =
+    std::function<std::span<const uint32_t>(const std::string& token)>;
+
+/// The query-side blocking probe every index shares (TokenBlockingIndex,
+/// MappedBlockingIndex and the live corpus's delta postings): probes
+/// `postings` with the lowercased alnum tokens of EVERY property of
+/// `entity` — the query schema generally differs from the indexed one,
+/// so all of its properties are used — and returns the distinct hit
+/// indexes, each in [0, num_entities), sorted ascending. Deduplication
+/// runs on a thread_local epoch-stamped scratch array (blocking.cc), so
+/// concurrent callers never share scratch and no locking is needed
+/// (tests/blocking_concurrency_test.cc exercises this under TSan).
+std::vector<size_t> ProbeCandidates(const Entity& entity, const Schema& schema,
+                                    size_t num_entities,
+                                    const PostingsLookup& postings);
+
 /// Inverted index from token to entity indexes of the target dataset.
 ///
 /// Thread safety: immutable after construction; Candidates() is const
-/// and safe to call concurrently from any number of threads. Its only
-/// mutable state is a thread_local epoch-stamped scratch array (see
-/// blocking.cc and docs/CONCURRENCY.md), so concurrent callers never
-/// share scratch and no locking is needed
-/// (tests/blocking_concurrency_test.cc exercises this under TSan).
+/// and safe to call concurrently from any number of threads: its only
+/// mutable state is ProbeCandidates' thread_local scratch (see
+/// docs/CONCURRENCY.md).
 /// api/matcher_index.cc shares one index across rule generations
 /// through a shared_ptr<const BlockingIndex> in a cache guarded by the
 /// corpus lock.
@@ -96,7 +115,7 @@ class TokenBlockingIndex : public BlockingIndex {
   /// Read-only after construction (the const-thread-safety contract
   /// above). Iteration order never reaches output: Candidates() probes
   /// by key and sorts its result.
-  std::unordered_map<std::string, std::vector<size_t>> index_;
+  std::unordered_map<std::string, std::vector<uint32_t>> index_;
 };
 
 /// The blocking keys of every entity of `dataset` over `properties`

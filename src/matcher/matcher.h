@@ -73,6 +73,15 @@ struct MatchOptions {
   const CancelToken* cancel = nullptr;
 };
 
+/// Puts the links of ONE query entity in the per-query order — score
+/// descending, then id_b ascending — or, with `best_match_only`,
+/// reduces them to the first link under that order (the tie-break
+/// MatchOptions::best_match_only documents). (score, id_b) is unique
+/// within one query's links, so the result never depends on candidate
+/// enumeration order. Shared by MatcherIndex's query and full-join
+/// paths and the live corpus merge.
+void OrderQueryLinks(std::vector<GeneratedLink>& links, bool best_match_only);
+
 /// Executes `rule` over all pairs of `a` x `b` and returns the links
 /// whose similarity reaches the threshold, sorted by descending score.
 std::vector<GeneratedLink> GenerateLinks(const LinkageRule& rule,

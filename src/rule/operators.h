@@ -178,8 +178,8 @@ class ComparisonOperator : public SimilarityOperator {
 /// Aggregates the scores of `operands` with `function`, computing each
 /// operand's score via `score_fn(op)`. The single implementation of the
 /// aggregation arithmetic (stack buffers for small fan-out, operands
-/// visited in order) — shared by AggregationOperator::Evaluate and the
-/// evaluation engine's cached walk so the two cannot drift.
+/// visited in order) — shared by AggregationOperator::Evaluate and
+/// ScoreBySites below so the two cannot drift.
 template <typename ScoreFn>
 double AggregateOperandScores(
     const AggregationFunction& function,
@@ -235,6 +235,38 @@ class AggregationOperator : public SimilarityOperator {
   const AggregationFunction* function_;
   std::vector<std::unique_ptr<SimilarityOperator>> operands_;
 };
+
+/// ScoreBySites' recursion; `next_site` counts the comparisons visited
+/// so far in pre-order.
+template <typename DistanceFn>
+double ScoreSitesFrom(const SimilarityOperator& node, DistanceFn& distance,
+                      size_t& next_site) {
+  if (node.kind() == OperatorKind::kComparison) {
+    const auto& cmp = static_cast<const ComparisonOperator&>(node);
+    return ThresholdedScore(distance(next_site++, cmp), cmp.threshold());
+  }
+  const auto& agg = static_cast<const AggregationOperator&>(node);
+  return AggregateOperandScores(
+      *agg.function(), agg.operands(), [&](const SimilarityOperator& op) {
+        return ScoreSitesFrom(op, distance, next_site);
+      });
+}
+
+/// Scores the similarity tree under `root` with the raw distance of its
+/// k-th comparison in pre-order (the order CollectComparisons and
+/// RuleHashInfo::comparisons use) read from `distance(k, cmp)`. The one
+/// rule walk over precomputed or interned values — engine distance
+/// rows, CompiledRule, the MatcherIndex query scorer and the live delta
+/// scorer all call it — and the same thresholding and aggregation
+/// arithmetic as SimilarityOperator::Evaluate, which stays the
+/// operator-tree oracle. `distance` must return kInfiniteDistance when
+/// either side is empty, so such a comparison scores 0 as Evaluate's
+/// short-circuit does.
+template <typename DistanceFn>
+double ScoreBySites(const SimilarityOperator& root, DistanceFn&& distance) {
+  size_t next_site = 0;
+  return ScoreSitesFrom(root, distance, next_site);
+}
 
 }  // namespace genlink
 

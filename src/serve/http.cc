@@ -153,8 +153,17 @@ HttpRequestParser::State HttpRequestParser::ParseHeaders(size_t header_end,
   if (request_.FindHeader("Transfer-Encoding") != nullptr) {
     return Fail(400);  // chunked bodies are not accepted
   }
+  // More than one Content-Length is refused outright (RFC 9112 §6.3):
+  // keeping either copy frames the body differently from a peer that
+  // keeps the other one.
+  const std::string* cl = nullptr;
+  for (const auto& [key, value] : request_.headers) {
+    if (!EqualsIgnoreCase(key, "Content-Length")) continue;
+    if (cl != nullptr) return Fail(400);
+    cl = &value;
+  }
   body_length_ = 0;
-  if (const std::string* cl = request_.FindHeader("Content-Length")) {
+  if (cl != nullptr) {
     if (cl->empty()) return Fail(400);
     uint64_t length = 0;
     for (const char c : *cl) {

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -169,6 +170,12 @@ void ServeDaemon::ListenerLoop() {
         break;
       }
       counters_.accepted.fetch_add(1, std::memory_order_relaxed);
+      // Every response goes out in one send, so Nagle buys nothing and
+      // costs a delayed-ACK round (~40 ms on Linux) whenever a client
+      // pipelines: the second response would wait for the peer to ACK
+      // the first.
+      const int one = 1;
+      ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       bool admit = false;
       {
         MutexLock lock(queue_mutex_);

@@ -15,8 +15,10 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -104,6 +106,24 @@ TEST(HttpParserTest, RejectsTransferEncoding) {
                            "Transfer-Encoding: chunked\r\n\r\n"),
             HttpState::kError);
   EXPECT_EQ(parser.error_status(), 400);
+}
+
+TEST(HttpParserTest, DuplicateContentLengthIs400) {
+  // Two lengths frame the body two ways (RFC 9112 §6.3); equal copies
+  // are refused too, so no peer's choice of copy can matter. Fed byte
+  // by byte: the rejection must not depend on how the bytes arrive.
+  for (const char* lengths : {"Content-Length: 5\r\ncontent-length: 0\r\n",
+                              "Content-Length: 5\r\nContent-Length: 5\r\n"}) {
+    const std::string wire = std::string("POST /match HTTP/1.1\r\n") +
+                             lengths + "\r\nhello";
+    HttpRequestParser parser(8192, 1 << 20);
+    HttpState state = HttpState::kNeedMore;
+    for (size_t i = 0; i < wire.size() && state == HttpState::kNeedMore; ++i) {
+      state = parser.Consume(std::string_view(&wire[i], 1));
+    }
+    EXPECT_EQ(state, HttpState::kError) << lengths;
+    EXPECT_EQ(parser.error_status(), 400) << lengths;
+  }
 }
 
 TEST(HttpParserTest, OversizedHeaderBlockIs431) {
@@ -520,6 +540,62 @@ TEST_F(ServeDaemonTest, KeepAliveServesPipelinedRequests) {
   EXPECT_NE(wire.find("ok generation=1 stale=0\n", first + 1),
             std::string::npos)
       << wire;
+}
+
+// Reads from `fd` until `count` more Content-Length-framed responses
+// have arrived. False on EOF, error or the socket's receive timeout.
+bool RecvResponses(int fd, size_t count) {
+  std::string wire;
+  size_t pos = 0;
+  char buf[4096];
+  while (count > 0) {
+    const size_t header_end = wire.find("\r\n\r\n", pos);
+    const size_t length_at = wire.find("Content-Length: ", pos);
+    if (header_end != std::string::npos && length_at < header_end) {
+      const size_t end = header_end + 4 +
+                         std::stoul(wire.substr(length_at + 16, 20));
+      if (wire.size() >= end) {
+        pos = end;
+        --count;
+        continue;
+      }
+    }
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) return false;
+    wire.append(buf, static_cast<size_t>(n));
+  }
+  return true;
+}
+
+TEST_F(ServeDaemonTest, PipelinedPairIsNotHeldByNagle) {
+  // With Nagle's algorithm on, the second of two pipelined responses
+  // waits until the client ACKs the first, and a client that keeps the
+  // kernel's delayed ACK (no TCP_QUICKACK, as here) sends that ACK only
+  // after Linux's 40 ms floor. 20 ms is half that floor.
+  StartDaemon({});
+  const int fd = RawConnect(port());
+  ASSERT_GE(fd, 0);
+  struct timeval timeout = {5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  const std::string body = "name,city\nrecord number 0,berlin\n";
+  const std::string request =
+      "POST /match HTTP/1.1\r\nContent-Type: text/csv\r\n"
+      "Content-Length: " +
+      std::to_string(body.size()) + "\r\n\r\n" + body;
+  std::vector<double> pair_ms;
+  for (int i = 0; i < 20; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(SendRaw(fd, request + request));
+    ASSERT_TRUE(RecvResponses(fd, 2)) << "pair " << i;
+    pair_ms.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+  }
+  ::close(fd);
+  std::sort(pair_ms.begin(), pair_ms.end());
+  EXPECT_LT(pair_ms[pair_ms.size() / 2], 20.0)
+      << "fastest " << pair_ms.front() << " ms, slowest " << pair_ms.back()
+      << " ms";
 }
 
 TEST_F(ServeDaemonTest, InjectedRecvErrorIsCountedAndSurvived) {

@@ -42,6 +42,15 @@ Rules (all diagnostics are `file:line: [rule] message`):
                        depends on scheduling breaks bit-identity.
                        Waive when the loop order is fixed (serial
                        phase, deterministic container).
+  rule-walk            a call of ThresholdedScore( or
+                       AggregateOperandScores( outside
+                       src/rule/operators.{h,cc} and src/distance/.
+                       Those two are the comparison and aggregation
+                       arithmetic of the rule semantics; every scorer
+                       walks a rule through ScoreBySites
+                       (rule/operators.h) or SimilarityOperator::
+                       Evaluate, so a call anywhere else is a new copy
+                       of the rule walk that can drift from the oracle.
 
 Waivers — every one requires a reason:
 
@@ -73,6 +82,7 @@ RULES = (
     "pointer-sort",
     "raw-mutex",
     "float-accum",
+    "rule-walk",
 )
 
 SOURCE_EXTENSIONS = (".h", ".hpp", ".cc", ".cpp", ".cxx")
@@ -87,6 +97,9 @@ RANDOMNESS_EXEMPT = re.compile(r"(^|/)common/random\.(h|cc)$")
 # … and raw-mutex is not enforced inside common/, where the annotated
 # wrappers are implemented in terms of the std primitives.
 RAW_MUTEX_EXEMPT = re.compile(r"(^|/)common/")
+# rule-walk: the operator module owns the rule walk, distance/ owns the
+# thresholding it applies.
+RULE_WALK_EXEMPT = re.compile(r"(^|/)(?:rule/operators\.(?:h|cc)$|distance/)")
 
 WAIVER_RE = re.compile(
     r"//\s*lint:(?:allow\((?P<rule>[a-z-]+)\)|(?P<ordered>ordered))"
@@ -128,6 +141,8 @@ RAW_MUTEX_RE = re.compile(
     r"recursive_timed_mutex|shared_timed_mutex|condition_variable"
     r"(?:_any)?)\b"
 )
+
+RULE_WALK_RE = re.compile(r"(?<![\w.>])(?:ThresholdedScore|AggregateOperandScores)\s*\(")
 
 FLOAT_DECL_RE = re.compile(r"\b(?:double|float)\s+(\w+)\s*(?:=|\{|;|,)")
 ACCUM_RE = re.compile(r"(?<![\w.])(\w+)\s*\+=")
@@ -343,6 +358,15 @@ def lint_file(path: str, rel_path: str, result: LintResult) -> None:
                      f"`{m.group(0)}` outside common/ is invisible to "
                      "-Wthread-safety; use the annotated wrappers in "
                      "common/mutex.h (Mutex, CondVar, WriterPriorityMutex)")
+
+        if not RULE_WALK_EXEMPT.search(rel_path.replace(os.sep, "/")):
+            m = RULE_WALK_RE.search(code)
+            if m:
+                emit(idx, "rule-walk",
+                     f"`{m.group(0).rstrip('( ')}` called outside "
+                     "rule/operators.* and distance/: score through "
+                     "ScoreBySites (rule/operators.h) instead of another "
+                     "copy of the rule walk")
 
         # float-accum needs loop tracking regardless of gating so the
         # brace bookkeeping stays consistent; only emit when gated.

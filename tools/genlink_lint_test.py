@@ -259,6 +259,53 @@ for (double x : xs) {
         self.assertEqual(len(r.waivers), 1)
 
 
+class RuleWalkRuleTest(LintHarness):
+    SNIPPET = """\
+double Walk(const SimilarityOperator& node) {
+  if (node.kind() == OperatorKind::kComparison) {
+    return ThresholdedScore(distance, cmp.threshold());
+  }
+  return AggregateOperandScores(*agg.function(), agg.operands(), fn);
+}
+"""
+
+    def test_flags_walk_copies_anywhere_else(self):
+        for path in ("src/eval/engine.cc", "src/api/matcher_index.cc",
+                     "src/live/live_corpus.cc", "src/rule/linkage_rule.cc",
+                     "src/eval/value_store.h"):
+            r = self.lint(path, self.SNIPPET)
+            self.assertEqual(self.rules(r), ["rule-walk", "rule-walk"], path)
+
+    def test_qualified_call_is_flagged(self):
+        r = self.lint("src/eval/x.cc",
+                      "double s = genlink::ThresholdedScore(d, t);\n")
+        self.assertEqual(self.rules(r), ["rule-walk"])
+
+    def test_operators_and_distance_are_exempt(self):
+        for path in ("src/rule/operators.h", "src/rule/operators.cc",
+                     "src/distance/distance_measure.cc",
+                     "src/distance/distance_measure.h"):
+            r = self.lint(path, self.SNIPPET)
+            self.assertEqual(self.rules(r), [], path)
+
+    def test_score_by_sites_and_prose_are_fine(self):
+        r = self.lint("src/eval/x.cc", """\
+// ThresholdedScore(inf, t) == 0, as in AggregateOperandScores(...).
+const char* kDoc = "ThresholdedScore(d, t)";
+double s = ScoreBySites(*rule.root(), distance);
+double MyThresholdedScore(double d);
+double t = helper.ThresholdedScore(d, 1.0);
+""")
+        self.assertEqual(self.rules(r), [])
+
+    def test_allow_waiver_suppresses(self):
+        r = self.lint("src/eval/x.cc", """\
+// lint:allow(rule-walk) -- reason given
+double s = ThresholdedScore(d, t);
+""")
+        self.assertEqual(self.rules(r), [])
+
+
 class WaiverAuditTest(LintHarness):
     def test_unknown_rule_in_waiver_is_an_error(self):
         r = self.lint("src/io/x.cc",
