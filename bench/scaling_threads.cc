@@ -3,6 +3,12 @@
 // wall time and asserting that the learned rule and F1 do not depend on
 // the thread count (the engine's determinism invariant).
 //
+// A further untimed 1-thread run checks, every generation, that each
+// individual's engine FitnessResult equals FitnessEvaluator's
+// (eval/fitness.h, which recomputes every distance). Breeding reads
+// only the fitness and the RNG, so this proves a recompute-only learner
+// would follow the same trajectory.
+//
 // Emits BENCH_scaling_threads.json with one record per thread count;
 // `extra` carries the thread count, the measured speedup vs the
 // single-thread run, and whether the learned rule matched the 1-thread
@@ -29,9 +35,10 @@ using namespace genlink::bench;
 
 namespace {
 
+constexpr uint64_t kSeed = 8003;
+
 struct RunMeasurement {
   size_t threads = 0;
-  bool cached = true;
   bool ok = false;
   double seconds = 0.0;
   double train_f1 = 0.0;
@@ -40,20 +47,23 @@ struct RunMeasurement {
   std::string rule_sexpr;
 };
 
-RunMeasurement RunOnce(const MatchingTask& task, const BenchScale& scale,
-                       size_t threads, bool cached) {
+GenLinkConfig MakeConfig(const BenchScale& scale, size_t threads) {
   GenLinkConfig config = MakeGenLinkConfig(scale);
   config.num_threads = threads;
-  config.cache_fitness = cached;
-  config.cache_distances = cached;
   // Disable early stopping: Restaurant reaches full training F1 within
   // a couple of generations, which would leave nothing to measure. A
   // scaling bench needs fixed work per configuration.
   config.stop_f_measure = 1.1;
+  return config;
+}
+
+RunMeasurement RunOnce(const MatchingTask& task, const BenchScale& scale,
+                       size_t threads) {
+  GenLinkConfig config = MakeConfig(scale, threads);
 
   // Same seed for every thread count: fold split and evolution draw
   // from the same stream, so any divergence comes from evaluation.
-  Rng rng(/*seed=*/8003);
+  Rng rng(kSeed);
   auto folds = task.links.SplitFolds(2, rng);
   GenLink learner(task.Source(), task.Target(), config);
 
@@ -65,7 +75,6 @@ RunMeasurement RunOnce(const MatchingTask& task, const BenchScale& scale,
 
   RunMeasurement m;
   m.threads = threads;
-  m.cached = cached;
   m.seconds = elapsed;
   if (!result.ok()) {
     std::fprintf(stderr, "learn failed at %zu threads: %s\n", threads,
@@ -79,12 +88,59 @@ RunMeasurement RunOnce(const MatchingTask& task, const BenchScale& scale,
   m.rule_hash = CanonicalRuleHash(result->best_rule);
   m.rule_sexpr = ToSexpr(result->best_rule);
   std::printf(
-      "%-8s threads=%zu  %6.2fs  train F1 %.3f  val F1 %.3f  "
+      "threads=%zu  %6.2fs  train F1 %.3f  val F1 %.3f  "
       "fitness-hit %4.1f%%  distance-row-hit %4.1f%%\n",
-      cached ? "cached" : "nocache", threads, elapsed, m.train_f1, m.val_f1,
+      threads, elapsed, m.train_f1, m.val_f1,
       100.0 * result->eval_stats.FitnessHitRate(),
       100.0 * result->eval_stats.DistanceRowHitRate());
   return m;
+}
+
+// The 1-thread run once more, untimed, comparing every individual of
+// every generation with FitnessEvaluator. Returns false on a failed run
+// or on any difference in fitness, MCC, F-measure or confusion counts.
+bool MatchesFitnessEvaluatorEveryGeneration(const MatchingTask& task,
+                                            const BenchScale& scale) {
+  GenLinkConfig config = MakeConfig(scale, 1);
+  Rng rng(kSeed);
+  auto folds = task.links.SplitFolds(2, rng);
+  auto pairs = folds[0].Resolve(task.Source(), task.Target());
+  if (!pairs.ok()) return false;
+  FitnessEvaluator serial(*pairs, task.Source().schema(),
+                          task.Target().schema(), config.fitness);
+  size_t mismatches = 0;
+  size_t checked = 0;
+  GenLink learner(task.Source(), task.Target(), config);
+  auto result = learner.Learn(
+      folds[0], &folds[1], rng,
+      [&](const IterationStats& stats, const Population& population) {
+        for (const Individual& individual : population.individuals()) {
+          ++checked;
+          FitnessResult reference = serial.Evaluate(individual.rule);
+          const FitnessResult& engine = individual.fitness;
+          if (engine.fitness != reference.fitness ||
+              engine.mcc != reference.mcc ||
+              engine.f_measure != reference.f_measure ||
+              engine.confusion.tp != reference.confusion.tp ||
+              engine.confusion.tn != reference.confusion.tn ||
+              engine.confusion.fp != reference.confusion.fp ||
+              engine.confusion.fn != reference.confusion.fn) {
+            if (mismatches++ == 0) {
+              std::fprintf(stderr,
+                           "engine fitness %.17g != reference %.17g at "
+                           "generation %zu for %s\n",
+                           engine.fitness, reference.fitness, stats.iteration,
+                           ToSexpr(individual.rule).c_str());
+            }
+          }
+        }
+      });
+  if (!result.ok()) return false;
+  std::printf("engine == FitnessEvaluator for %zu individuals over %zu "
+              "generations: %s\n",
+              checked, result->trajectory.iterations.size(),
+              mismatches == 0 ? "yes" : "NO");
+  return mismatches == 0;
 }
 
 }  // namespace
@@ -104,33 +160,19 @@ int main() {
 
   // Warm-up run so first-touch costs (page faults, allocator growth) do
   // not bias the 1-thread measurement.
-  RunOnce(task, scale, 1, /*cached=*/true);
+  RunOnce(task, scale, 1);
 
-  // Two families: the engine with its caches (the production path) and
-  // with caching disabled (every string distance recomputed — the
-  // paper's implied cost model, and the workload whose thread-scaling
-  // is purest since it is compute-bound).
   std::vector<RunMeasurement> runs;
-  for (bool cached : {true, false}) {
-    for (size_t threads : {1, 2, 4, 8}) {
-      runs.push_back(RunOnce(task, scale, threads, cached));
-    }
+  for (size_t threads : {1, 2, 4, 8}) {
+    runs.push_back(RunOnce(task, scale, threads));
   }
-
-  auto family_t1_seconds = [&](bool cached) {
-    for (const RunMeasurement& m : runs) {
-      if (m.cached == cached && m.threads == 1) return m.seconds;
-    }
-    return 0.0;
-  };
+  const double t1 = runs.front().seconds;
 
   bool deterministic = true;
   std::vector<BenchRecord> records;
   for (const RunMeasurement& m : runs) {
-    // Determinism must hold across thread counts AND cache settings:
-    // the caches are exact, so every run learns the same rule. A failed
-    // run fails the gate too — all-zero measurements must not pass it
-    // vacuously.
+    // A failed run fails the gate too — all-zero measurements must not
+    // pass it vacuously.
     bool identical = m.ok && runs.front().ok &&
                      m.rule_hash == runs.front().rule_hash &&
                      m.train_f1 == runs.front().train_f1 &&
@@ -138,15 +180,13 @@ int main() {
     deterministic = deterministic && identical;
     if (!identical && m.ok && runs.front().ok) {
       std::fprintf(stderr,
-                   "divergent rule at %s threads=%zu:\n  t1:  %s\n  now: %s\n",
-                   m.cached ? "cached" : "nocache", m.threads,
-                   runs.front().rule_sexpr.c_str(), m.rule_sexpr.c_str());
+                   "divergent rule at threads=%zu:\n  t1:  %s\n  now: %s\n",
+                   m.threads, runs.front().rule_sexpr.c_str(),
+                   m.rule_sexpr.c_str());
     }
-    double t1 = family_t1_seconds(m.cached);
     BenchRecord record;
     record.dataset = "restaurant";
-    record.system = std::string("genlink/") + (m.cached ? "" : "nocache/") +
-                    "threads=" + std::to_string(m.threads);
+    record.system = "genlink/threads=" + std::to_string(m.threads);
     record.data_scale = data.scale;
     record.population = scale.population;
     record.iterations = scale.iterations;
@@ -156,7 +196,6 @@ int main() {
     record.seconds = {m.seconds, 0.0};
     record.extra = {
         {"threads", static_cast<double>(m.threads)},
-        {"cached", m.cached ? 1.0 : 0.0},
         {"speedup_vs_t1", m.seconds > 0.0 ? t1 / m.seconds : 0.0},
         {"rule_identical_to_t1", identical ? 1.0 : 0.0},
         {"hardware_concurrency", static_cast<double>(hardware)},
@@ -164,25 +203,20 @@ int main() {
     records.push_back(std::move(record));
   }
 
-  for (bool cached : {true, false}) {
-    std::printf("\n%s speedup vs its 1-thread run:",
-                cached ? "cached" : "nocache");
-    double t1 = family_t1_seconds(cached);
-    for (const RunMeasurement& m : runs) {
-      if (m.cached != cached) continue;
-      std::printf("  t%zu: %.2fx", m.threads,
-                  m.seconds > 0.0 ? t1 / m.seconds : 0.0);
-    }
+  std::printf("\nspeedup vs the 1-thread run:");
+  for (const RunMeasurement& m : runs) {
+    std::printf("  t%zu: %.2fx", m.threads,
+                m.seconds > 0.0 ? t1 / m.seconds : 0.0);
   }
-  double cache_win = family_t1_seconds(true) > 0.0
-                         ? family_t1_seconds(false) / family_t1_seconds(true)
-                         : 0.0;
-  std::printf("\ncache speedup at 1 thread: %.2fx\n", cache_win);
+  std::printf("\n");
 
+  deterministic =
+      MatchesFitnessEvaluatorEveryGeneration(task, scale) && deterministic;
   if (!deterministic) {
     std::fprintf(stderr,
-                 "ERROR: a run failed or the learned rule/F1 differs across "
-                 "thread counts\n");
+                 "ERROR: a run failed, the learned rule/F1 differs across "
+                 "thread counts, or the engine's fitness differs from "
+                 "FitnessEvaluator's\n");
   } else {
     std::printf("learned rule identical across all thread counts\n");
   }

@@ -38,6 +38,20 @@ class FirstErrorCollector {
   std::exception_ptr error_ GENLINK_GUARDED_BY(mutex_);
 };
 
+/// Counts one finished task of a parallel call down and wakes the
+/// caller after the last one. `remaining`, `done_mutex` and `done_cv`
+/// live on the caller's stack, and the caller returns as soon as it
+/// reads 0, so the decrement happens under `done_mutex`: the caller can
+/// only read 0 after this task released the mutex, its last access.
+/// Decrementing outside the mutex would let the caller return between
+/// the decrement and the lock, and the task would then lock a dead
+/// mutex (an abort with "Invalid argument", or a hang).
+void SignalDone(std::atomic<size_t>& remaining, Mutex& done_mutex,
+                CondVar& done_cv) {
+  MutexLock lock(done_mutex);
+  if (remaining.fetch_sub(1) == 1) done_cv.NotifyOne();
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
@@ -113,10 +127,7 @@ void ThreadPool::ParallelFor(size_t count, const std::function<void(size_t)>& fn
     const size_t end = std::min(count, begin + chunk);
     Submit([&, begin, end] {
       for (size_t i = begin; i < end; ++i) run_index(i);
-      if (remaining.fetch_sub(1) == 1) {
-        MutexLock lock(done_mutex);
-        done_cv.NotifyOne();
-      }
+      SignalDone(remaining, done_mutex, done_cv);
     });
   }
   {
@@ -148,10 +159,7 @@ void ThreadPool::ParallelForEach(size_t count,
   for (size_t i = 0; i < count; ++i) {
     Submit([&, i] {
       run_index(i);
-      if (remaining.fetch_sub(1) == 1) {
-        MutexLock lock(done_mutex);
-        done_cv.NotifyOne();
-      }
+      SignalDone(remaining, done_mutex, done_cv);
     });
   }
   {

@@ -27,12 +27,12 @@
 //
 // Determinism invariants (relied on by tests/determinism_test.cc and
 // tests/engine_test.cc):
-//   * Results are bit-identical to the serial FitnessEvaluator path:
-//     a raw distance is the same double whether recomputed or cached
-//     (empty value sets are stored as kInfiniteDistance, which
-//     ThresholdedScore maps to the same 0.0 score the serial
-//     short-circuit produces), and aggregation visits operands in tree
-//     order either way.
+//   * Results are bit-identical to FitnessEvaluator (eval/fitness.h),
+//     the uncached reference the tests compare against: a raw distance
+//     is the same double whether recomputed or cached (empty value sets
+//     are stored as kInfiniteDistance, which ThresholdedScore maps to
+//     the same 0.0 score the serial short-circuit produces), and
+//     aggregation visits operands in tree order either way.
 //   * Results are independent of the thread count: each distance row
 //     and each rule is filled by exactly one task, caches are only
 //     written in the serial phases, and no reduction crosses a task
@@ -67,18 +67,10 @@
 
 namespace genlink {
 
-/// Engine knobs. The defaults are right for learning runs; the cache
-/// toggles exist for A/B testing and for the engine's own tests.
+/// Engine knobs: the thread count and the cache budgets.
 struct EngineConfig {
   /// Worker threads (0 = hardware concurrency).
   size_t num_threads = 0;
-  /// Memoize whole-rule FitnessResults by canonical hash.
-  bool cache_fitness = true;
-  /// Precompute per-pair raw distances by comparison signature, from
-  /// per-entity transform plans over interned values
-  /// (eval/value_store.h). Off, every rule is scored by
-  /// FitnessEvaluator — the reference path the cached one must match.
-  bool cache_distances = true;
   /// Fitness memo entry bound; the memo is cleared when exceeded.
   size_t max_fitness_entries = 1 << 18;
   /// Approximate byte budget for distance rows; rows are cleared between
@@ -206,7 +198,6 @@ class EvaluationEngine {
   std::span<const LabeledPair> pairs_;
   FitnessConfig fitness_config_;
   EngineConfig config_;
-  FitnessEvaluator serial_;
   ThreadPool pool_;
   /// Discipline token for the engine's phase structure: held by
   /// EvaluateBatch's serial stretches, never by worker tasks. Mutable
@@ -220,8 +211,7 @@ class EvaluationEngine {
   /// row written by exactly one task.
   std::unordered_map<uint64_t, std::vector<double>> distance_rows_
       GENLINK_GUARDED_BY(serial_phase_);
-  /// Per-entity transform plans + interned values (null when
-  /// cache_distances is off).
+  /// Per-entity transform plans + interned values.
   /// Mutated only by CompileBatch in the serial phase 2b; frozen and
   /// read-shared during the parallel row fill (docs/CONCURRENCY.md).
   std::unique_ptr<ValueStore> store_;

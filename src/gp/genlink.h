@@ -15,6 +15,7 @@
 #include <memory>
 
 #include "eval/cross_validation.h"
+#include "eval/engine.h"
 #include "eval/fitness.h"
 #include "gp/compatible_properties.h"
 #include "gp/crossover.h"
@@ -62,19 +63,12 @@ struct GenLinkConfig {
 
   /// Worker threads for fitness evaluation (0 = hardware concurrency).
   size_t num_threads = 0;
-  /// Memoize whole-rule fitness results across generations (see
-  /// eval/engine.h). Off only for A/B measurements.
-  bool cache_fitness = true;
-  /// Precompute per-pair raw distances per comparison signature (see
-  /// eval/engine.h). Off only for A/B measurements.
-  bool cache_distances = true;
 
   /// ---- Island model (gp/islands.h; an extension beyond Algorithm 1,
   /// off by default). Number of independent populations, each of
   /// `population_size` rules with its own deterministic RNG stream,
   /// bred in parallel and evaluated through one shared engine. 1 is the
-  /// paper's single-population algorithm, bit-identical to the legacy
-  /// loop.
+  /// paper's single-population algorithm.
   size_t num_islands = 1;
   /// Every `migration_interval` generations the best `migration_size`
   /// rules of each island replace the worst rules of its ring neighbor
@@ -111,6 +105,14 @@ struct LearnResult {
   /// rule is still the best of the completed generations.
   bool interrupted = false;
 };
+
+/// Order-sensitive 64-bit fingerprint of a learning run: the best
+/// rule's structural hash and sexpr, the initial population's mean F1,
+/// and every field but the wall-clock `seconds` of every IterationStats
+/// in the merged and per-island trajectories. Byte-stable across
+/// processes; the determinism tests and bench_scaling_islands pin
+/// learning runs with it.
+uint64_t FingerprintLearnResult(const LearnResult& result);
 
 /// Per-iteration observer (iteration stats plus read access to the
 /// population).

@@ -38,7 +38,7 @@ struct SearchSetup {
 };
 
 // Resolves the labelled pairs, builds the shared engine and — drawing
-// from the master RNG exactly like the legacy loop did — runs the
+// from the master RNG before any population is bred — runs the
 // seeding step (Section 5.1 / Algorithm 2) and constructs the rule
 // generator and crossover set.
 Result<SearchSetup> PrepareSearch(const Dataset& a, const Dataset& b,
@@ -60,8 +60,6 @@ Result<SearchSetup> PrepareSearch(const Dataset& a, const Dataset& b,
 
   EngineConfig engine_config;
   engine_config.num_threads = config.num_threads;
-  engine_config.cache_fitness = config.cache_fitness;
-  engine_config.cache_distances = config.cache_distances;
   setup.engine = std::make_unique<EvaluationEngine>(
       setup.train_pairs, a.schema(), b.schema(), config.fitness, engine_config);
 
@@ -171,8 +169,10 @@ void BreedNextGeneration(
 
 // One island: a population, its breeding double-buffer, its RNG stream
 // and its trajectory. `stream` points at `rng`, except in the
-// single-island configuration where it points at the master RNG so the
-// draw sequence matches the legacy loop exactly.
+// single-island configuration where it points at the master RNG: that
+// draw order is the paper's Algorithm 1 and is what the pinned
+// learning fingerprints (tests/determinism_test.cc,
+// bench/scaling_islands.cc) record.
 struct Island {
   Population population;
   Population scratch;
@@ -216,8 +216,7 @@ struct SearchPhaseState {
 // Evaluates every unevaluated individual of every island through ONE
 // engine batch (islands in index order, individuals in population
 // order). Cross-island duplicates dedup inside the batch and all
-// islands share the fitness memo and distance rows. For a single
-// island this is exactly EvaluatePopulation.
+// islands share the fitness memo and distance rows.
 void EvaluateIslands(std::vector<Island>& islands, EvaluationEngine& engine) {
   std::vector<std::pair<size_t, size_t>> where;  // (island, individual)
   std::vector<const LinkageRule*> rules;
@@ -322,6 +321,9 @@ Result<LearnResult> LearnIslands(const Dataset& a, const Dataset& b,
                                  const ReferenceLinkSet* validation, Rng& rng,
                                  const IterationCallback& callback) {
   auto start = Clock::now();
+  if (config.population_size == 0) {
+    return Status::InvalidArgument("population_size must be positive");
+  }
   const size_t num_islands = std::max<size_t>(1, config.num_islands);
 
   auto setup = PrepareSearch(a, b, config, train, validation, rng);
@@ -334,9 +336,9 @@ Result<LearnResult> LearnIslands(const Dataset& a, const Dataset& b,
   result.compatible_pairs = setup->compatible_pairs;
   SearchPhaseState state;
 
-  // --- Island setup. The single-island stream IS the master RNG (the
-  // legacy draw order); K > 1 splits one child stream per island off
-  // the master, in island order.
+  // --- Island setup. The single-island stream IS the master RNG
+  // (Algorithm 1's draw order); K > 1 splits one child stream per
+  // island off the master, in island order.
   std::vector<Island> islands(num_islands);
   if (num_islands == 1) {
     islands[0].stream = &rng;
@@ -422,7 +424,7 @@ Result<LearnResult> LearnIslands(const Dataset& a, const Dataset& b,
     size_t total = 0;
     for (const Island& island : islands) {
       // Same accumulation order as Population::MeanOperatorCount, so a
-      // single island reproduces the legacy mean bit for bit.
+      // single island's merged mean equals its own bit for bit.
       for (const auto& individual : island.population.individuals()) {
         // lint:allow(float-accum) -- serial merge phase, fixed island/population order
         operator_sum += static_cast<double>(individual.rule.OperatorCount());
@@ -449,11 +451,17 @@ Result<LearnResult> LearnIslands(const Dataset& a, const Dataset& b,
   // --- Evolution loop (Algorithm 1 per island). Breeding runs one
   // task per island on the shared pool; evaluation is one cross-island
   // engine batch; migration happens in the serial phase between
-  // generations.
+  // generations. The run counts as interrupted only when the interrupt
+  // check is what ends the loop: a flag raised after the last budgeted
+  // generation, or together with the early stop, leaves a complete run.
   for (size_t iteration = 1;
        iteration <= config.max_iterations &&
-       !state.early_stop.load(std::memory_order_relaxed) && !interrupted();
+       !state.early_stop.load(std::memory_order_relaxed);
        ++iteration) {
+    if (interrupted()) {
+      result.interrupted = true;
+      break;
+    }
     pool.ParallelForEach(num_islands, [&](size_t i) {
       Island& island = islands[i];
       BreedNextGeneration(island.population, island.scratch, generator,
@@ -477,7 +485,6 @@ Result<LearnResult> LearnIslands(const Dataset& a, const Dataset& b,
   const Population& winning = islands[LeaderIndex(islands)].population;
   const Individual& best = winning[winning.BestIndex()];
   result.eval_stats = engine.stats();
-  result.interrupted = interrupted();
   result.best_rule = best.rule.Clone();
   result.trajectory.best_rule_sexpr = ToPrettySexpr(result.best_rule);
   result.trajectory.final_val_f1 =
@@ -494,90 +501,6 @@ Result<LearnResult> LearnIslands(const Dataset& a, const Dataset& b,
             : island.trajectory.iterations.back().val_f1;
     result.island_trajectories.push_back(std::move(island.trajectory));
   }
-  return result;
-}
-
-Result<LearnResult> LearnSinglePopulation(const Dataset& a, const Dataset& b,
-                                          const GenLinkConfig& config,
-                                          const ReferenceLinkSet& train,
-                                          const ReferenceLinkSet* validation,
-                                          Rng& rng,
-                                          const IterationCallback& callback) {
-  auto start = Clock::now();
-
-  auto setup = PrepareSearch(a, b, config, train, validation, rng);
-  if (!setup.ok()) return setup.status();
-  EvaluationEngine& engine = *setup->engine;
-  const RuleGenerator& generator = *setup->generator;
-
-  LearnResult result;
-  result.compatible_pairs = setup->compatible_pairs;
-
-  // --- Initial population.
-  Population population;
-  population.Reserve(config.population_size);
-  for (size_t i = 0; i < config.population_size; ++i) {
-    population.Add(Individual{generator.RandomRule(rng), {}, false});
-  }
-  EvaluatePopulation(population, engine);
-
-  {
-    double f1_sum = 0.0;
-    for (const auto& ind : population.individuals()) {
-      // lint:allow(float-accum) -- serial loop over the population vector in index order
-      f1_sum += ind.fitness.f_measure;
-    }
-    result.initial_population_mean_f1 =
-        f1_sum / static_cast<double>(population.size());
-  }
-
-  // Records per-iteration statistics; `iteration` 0 is the initial
-  // population, matching the tables in Section 6.2 of the paper.
-  auto record = [&](size_t iteration) {
-    size_t best = population.BestIndex();
-    const Individual& best_ind = population[best];
-    IterationStats stats;
-    stats.iteration = iteration;
-    stats.seconds = SecondsSince(start);
-    stats.train_f1 = best_ind.fitness.f_measure;
-    stats.train_mcc = best_ind.fitness.mcc;
-    stats.mean_operators = population.MeanOperatorCount();
-    stats.best_operators = static_cast<double>(best_ind.rule.OperatorCount());
-    if (!setup->val_pairs.empty()) {
-      ConfusionMatrix cm = EvaluateRuleOnPairs(best_ind.rule, setup->val_pairs,
-                                               a.schema(), b.schema());
-      stats.val_f1 = FMeasure(cm);
-      stats.val_mcc = MatthewsCorrelation(cm);
-    }
-    result.trajectory.iterations.push_back(stats);
-    if (callback) callback(stats, population);
-    return stats;
-  };
-
-  IterationStats last = record(0);
-
-  // --- Evolution loop (Algorithm 1).
-  Population next;
-  next.Reserve(config.population_size);
-  for (size_t iteration = 1; iteration <= config.max_iterations &&
-                             last.train_f1 < config.stop_f_measure;
-       ++iteration) {
-    BreedNextGeneration(population, next, generator, setup->crossover_set,
-                        config, rng);
-    std::swap(population, next);
-    EvaluatePopulation(population, engine);
-    last = record(iteration);
-  }
-
-  const Individual& best = population[population.BestIndex()];
-  result.eval_stats = engine.stats();
-  result.best_rule = best.rule.Clone();
-  result.trajectory.best_rule_sexpr = ToPrettySexpr(result.best_rule);
-  result.trajectory.final_val_f1 =
-      result.trajectory.iterations.empty()
-          ? 0.0
-          : result.trajectory.iterations.back().val_f1;
-  result.island_trajectories.push_back(result.trajectory);
   return result;
 }
 

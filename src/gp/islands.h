@@ -20,10 +20,10 @@
 //
 // Determinism invariants (tests/determinism_test.cc,
 // bench/scaling_islands.cc):
-//   * num_islands = 1 is bit-identical to the legacy single-population
-//     loop (LearnSinglePopulation below): the single island draws from
-//     the master RNG in exactly the legacy order and migration is
-//     skipped.
+//   * num_islands = 1 is the paper's single-population Algorithm 1:
+//     the single island draws from the master RNG (no forked stream)
+//     and migration is skipped. Pinned learning fingerprints
+//     (FingerprintLearnResult) hold this draw order fixed.
 //   * Results are independent of the thread count: each island's
 //     breeding task touches only that island's state and RNG stream,
 //     evaluation goes through the engine's thread-invariant batch path,
@@ -41,22 +41,13 @@ namespace genlink {
 /// here; call directly when no GenLink instance is at hand.
 ///
 /// The per-iteration `callback` receives the merged iteration stats and
-/// the leading island's population.
+/// the leading island's population. Returns InvalidArgument when
+/// `config.population_size` is 0.
 Result<LearnResult> LearnIslands(const Dataset& a, const Dataset& b,
                                  const GenLinkConfig& config,
                                  const ReferenceLinkSet& train,
                                  const ReferenceLinkSet* validation, Rng& rng,
                                  const IterationCallback& callback = nullptr);
-
-/// The pre-island single-population loop, kept verbatim as the
-/// reference implementation for the island model's bit-identity gate:
-/// LearnIslands with num_islands = 1 must reproduce this function's
-/// LearnResult exactly (same seed, any thread count). Ignores the
-/// num_islands / migration_* fields of `config`.
-Result<LearnResult> LearnSinglePopulation(
-    const Dataset& a, const Dataset& b, const GenLinkConfig& config,
-    const ReferenceLinkSet& train, const ReferenceLinkSet* validation,
-    Rng& rng, const IterationCallback& callback = nullptr);
 
 }  // namespace genlink
 

@@ -36,20 +36,4 @@ double Population::MeanOperatorCount() const {
   return sum / static_cast<double>(individuals_.size());
 }
 
-void EvaluatePopulation(Population& population, EvaluationEngine& engine) {
-  std::vector<size_t> indices;
-  std::vector<const LinkageRule*> rules;
-  for (size_t i = 0; i < population.size(); ++i) {
-    if (population[i].evaluated) continue;
-    indices.push_back(i);
-    rules.push_back(&population[i].rule);
-  }
-  std::vector<FitnessResult> results(rules.size());
-  engine.EvaluateBatch(rules, results);
-  for (size_t k = 0; k < indices.size(); ++k) {
-    population[indices[k]].fitness = results[k];
-    population[indices[k]].evaluated = true;
-  }
-}
-
 }  // namespace genlink

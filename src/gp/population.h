@@ -7,7 +7,7 @@
 
 #include <vector>
 
-#include "eval/engine.h"
+#include "eval/fitness.h"
 #include "rule/linkage_rule.h"
 
 namespace genlink {
@@ -61,10 +61,6 @@ class Population {
  private:
   std::vector<Individual> individuals_;
 };
-
-/// Evaluates all unevaluated individuals through `engine` (parallel,
-/// memoized; see eval/engine.h for the determinism invariants).
-void EvaluatePopulation(Population& population, EvaluationEngine& engine);
 
 }  // namespace genlink
 

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "gp/genlink.h"
+#include "gp/islands.h"
 #include "gp/selection.h"
 #include "rule/builder.h"
 #include "rule/serialize.h"
@@ -189,6 +192,79 @@ TEST_F(GenLinkToyTest, LearnFailsCleanlyOnUnresolvableLinks) {
   auto result = learner.Learn(bad, nullptr, rng);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+}
+
+// An empty population has no best rule to record: rejected up front,
+// before the seeding step draws from the master RNG, for one island and
+// for several.
+TEST_F(GenLinkToyTest, ZeroPopulationIsInvalidArgument) {
+  for (size_t islands : {1u, 3u}) {
+    GenLinkConfig config = SmallConfig();
+    config.population_size = 0;
+    config.num_islands = islands;
+    Rng rng(1);
+    auto result = LearnIslands(a_, b_, config, links_, nullptr, rng);
+    ASSERT_FALSE(result.ok()) << islands << " islands";
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(rng.NextUint64(), Rng(1).NextUint64()) << islands << " islands";
+  }
+}
+
+// GenLinkConfig::stop_requested, raised from the per-iteration callback
+// at generation `raise_at` of a 5-generation run with early stopping
+// off. The callback runs after the generation is recorded.
+class StopRequestedTest : public GenLinkToyTest {
+ protected:
+  LearnResult LearnRaisingAt(size_t raise_at) {
+    std::atomic<bool> stop{false};
+    GenLinkConfig config = SmallConfig();
+    config.population_size = 30;
+    config.max_iterations = 5;
+    config.stop_f_measure = 1.1;
+    config.stop_requested = &stop;
+    GenLink learner(a_, b_, config);
+    Rng rng(3);
+    auto result = learner.Learn(
+        links_, nullptr, rng,
+        [&](const IterationStats& stats, const Population&) {
+          if (stats.iteration == raise_at) stop.store(true);
+        });
+    EXPECT_TRUE(result.ok());
+    return result.ok() ? std::move(*result) : LearnResult{};
+  }
+};
+
+TEST_F(StopRequestedTest, RaisedMidRunEndsTheRunInterrupted) {
+  LearnResult result = LearnRaisingAt(2);
+  // Generations 0, 1 and 2 were recorded; generation 3 never started.
+  EXPECT_EQ(result.trajectory.iterations.size(), 3u);
+  EXPECT_TRUE(result.interrupted);
+}
+
+TEST_F(StopRequestedTest, RaisedAtTheFinalGenerationIsACompleteRun) {
+  LearnResult result = LearnRaisingAt(5);
+  EXPECT_EQ(result.trajectory.iterations.size(), 6u);
+  EXPECT_FALSE(result.interrupted);
+}
+
+// A flag raised in the same generation that reaches stop_f_measure: the
+// early stop ended the run, not the interrupt.
+TEST_F(GenLinkToyTest, StopRequestedTogetherWithEarlyStopIsNotInterrupted) {
+  std::atomic<bool> stop{false};
+  GenLinkConfig config = SmallConfig();
+  config.max_iterations = 50;
+  config.stop_requested = &stop;
+  GenLink learner(a_, b_, config);
+  Rng rng(2);
+  auto result = learner.Learn(
+      links_, nullptr, rng,
+      [&](const IterationStats& stats, const Population&) {
+        if (stats.train_f1 >= config.stop_f_measure) stop.store(true);
+      });
+  ASSERT_TRUE(result.ok());
+  ASSERT_TRUE(stop.load());
+  EXPECT_LT(result->trajectory.iterations.size(), 51u);
+  EXPECT_FALSE(result->interrupted);
 }
 
 // ------------------------------------------------- population + selection

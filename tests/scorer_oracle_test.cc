@@ -123,7 +123,14 @@ class ScorerOracleTest : public ::testing::Test {
       if (q % 2 == 1) query.set_id("query_" + query.id());
       queries_.push_back(std::move(query));
     }
-    artifact_path_ = ::testing::TempDir() + "scorer_oracle_corpus.glidx";
+    // Named after the running test: ctest -j runs each test in its own
+    // process at the same time, and a shared file name would let them
+    // overwrite each other's artifact mid-test.
+    artifact_path_ = ::testing::TempDir() + "scorer_oracle_" +
+                     ::testing::UnitTest::GetInstance()
+                         ->current_test_info()
+                         ->name() +
+                     ".glidx";
   }
 
   /// Checks every surface against the reference for one rule. Returns
