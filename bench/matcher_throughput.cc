@@ -37,7 +37,7 @@ struct PathMeasurement {
   bool operator_tree = false;
   double seconds = 0.0;
   size_t pairs = 0;
-  std::vector<GeneratedLink> links;
+  std::vector<GeneratedLink> links = {};
 };
 
 // A representative learned rule: transform chains on both comparisons

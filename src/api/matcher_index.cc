@@ -332,26 +332,23 @@ void MatcherIndex::EvaluateQueryOps(const Entity& entity, const Schema& schema,
   }
 }
 
+template <typename TargetViews>
 double MatcherIndex::QueryScore(const QueryValues& qv,
-                                size_t target_index) const {
+                                TargetViews&& target_views) const {
   // May run on a pool worker (MatchBatch/MatchDataset tasks) while the
   // dispatching frame holds the reader lock; free in release builds.
   corpus_->mutex.AssertReaderHeld();
   if (rule_.empty()) return 0.0;
   return ScoreBySites(*rule_.root(), [&](size_t k,
                                          const ComparisonOperator& cmp) {
-    const QuerySite& site = query_sites_[k];
     const std::vector<std::string_view>& source_views =
-        qv.views[site.source_slot];
-    const std::span<const ValueId> target_values = reader_->Values(
-        ValueReader::Side::kTarget, site.target_plan, target_index);
+        qv.views[query_sites_[k].source_slot];
     // PairDistance's empty-side convention: similarity 0.
-    if (source_views.empty() || target_values.empty()) {
-      return kInfiniteDistance;
-    }
+    if (source_views.empty()) return kInfiniteDistance;
     thread_local std::vector<std::string_view> scratch;
     scratch.clear();
-    for (ValueId id : target_values) scratch.push_back(reader_->View(id));
+    target_views(k, scratch);
+    if (scratch.empty()) return kInfiniteDistance;
     // As in CompiledRule::Score, the comparison threshold doubles as the
     // distance bound; DistanceViews is bit-identical to the
     // TokenIdDistance path PairDistance takes for set measures
@@ -362,9 +359,20 @@ double MatcherIndex::QueryScore(const QueryValues& qv,
   });
 }
 
+double MatcherIndex::SlotScore(const QueryValues& qv,
+                               size_t target_index) const {
+  return QueryScore(qv, [&](size_t k, std::vector<std::string_view>& out) {
+    for (ValueId id : reader_->Values(ValueReader::Side::kTarget,
+                                      query_sites_[k].target_plan,
+                                      target_index)) {
+      out.push_back(reader_->View(id));
+    }
+  });
+}
+
 std::vector<GeneratedLink> MatcherIndex::MatchEntityUnlocked(
     const Entity& entity, const Schema& schema, const CancelToken* cancel,
-    const uint8_t* dead) const {
+    const QueryOverlay* overlay) const {
   corpus_->mutex.AssertReaderHeld();
   if (cancel == nullptr) cancel = options_.cancel;
   // A record is never its own duplicate: a self-indexed corpus (dedup)
@@ -376,18 +384,23 @@ std::vector<GeneratedLink> MatcherIndex::MatchEntityUnlocked(
   // the serving-only branch.
   const bool skip_own_id =
       corpus_->source == nullptr || corpus_->source == corpus_->target;
+  const uint8_t* dead = overlay != nullptr ? overlay->Tombstones() : nullptr;
   QueryValues qv;
   EvaluateQueryOps(entity, schema, qv);
 
+  // Indexed slots and overlay rows pass through the same step, so both
+  // follow one self-id, threshold and ordering rule.
   std::vector<GeneratedLink> links;
-  auto consider = [&](size_t j) {
-    if (dead != nullptr && dead[j] != 0) return;
-    const std::string_view id_b = corpus_->target_id(j);
+  auto keep = [&](std::string_view id_b, auto score_of) {
     if (skip_own_id && id_b == entity.id()) return;
-    const double score = QueryScore(qv, j);
+    const double score = score_of();
     if (score >= options_.threshold) {
       links.push_back({entity.id(), std::string(id_b), score});
     }
+  };
+  auto consider = [&](size_t j) {
+    if (dead != nullptr && dead[j] != 0) return;
+    keep(corpus_->target_id(j), [&] { return SlotScore(qv, j); });
   };
   // Cancellation is polled every 64 candidates: cheap enough to be
   // invisible on the hot path, frequent enough that one entity with a
@@ -408,6 +421,18 @@ std::vector<GeneratedLink> MatcherIndex::MatchEntityUnlocked(
       consider(j);
     }
   }
+  if (overlay != nullptr) {
+    for (size_t row : overlay->Candidates(entity, schema)) {
+      if (cancelled()) break;
+      keep(overlay->Id(row), [&] {
+        return QueryScore(qv, [&](size_t k,
+                                  std::vector<std::string_view>& out) {
+          const ValueSet& values = overlay->TargetValues(row, k);
+          out.assign(values.begin(), values.end());
+        });
+      });
+    }
+  }
 
   OrderQueryLinks(links, options_.best_match_only);
   return links;
@@ -419,13 +444,6 @@ std::vector<GeneratedLink> MatcherIndex::MatchEntity(
   return MatchEntityUnlocked(entity, schema);
 }
 
-std::vector<GeneratedLink> MatcherIndex::MatchEntityMasked(
-    const Entity& entity, const Schema& schema, const uint8_t* dead,
-    const CancelToken* cancel) const {
-  ReaderMutexLock lock(corpus_->mutex);
-  return MatchEntityUnlocked(entity, schema, cancel, dead);
-}
-
 std::vector<GeneratedLink> MatcherIndex::MatchEntity(
     const Entity& entity) const {
   return MatchEntity(entity, has_source() ? corpus_->source->schema()
@@ -434,7 +452,7 @@ std::vector<GeneratedLink> MatcherIndex::MatchEntity(
 
 std::vector<GeneratedLink> MatcherIndex::MatchBatch(
     std::span<const Entity> entities, const Schema& schema,
-    const CancelToken* cancel) const {
+    const CancelToken* cancel, const QueryOverlay* overlay) const {
   if (cancel == nullptr) cancel = options_.cancel;
   const size_t n = entities.size();
   std::vector<std::vector<GeneratedLink>> per_entity(n);
@@ -444,7 +462,8 @@ std::vector<GeneratedLink> MatcherIndex::MatchBatch(
       // Runs on pool workers while the dispatching frame above holds the
       // reader lock for the whole parallel section.
       if (cancel != nullptr && cancel->Cancelled()) return;
-      per_entity[i] = MatchEntityUnlocked(entities[i], schema, cancel);
+      per_entity[i] =
+          MatchEntityUnlocked(entities[i], schema, cancel, overlay);
     });
   }
   std::vector<GeneratedLink> links;
@@ -488,7 +507,7 @@ std::vector<GeneratedLink> MatcherIndex::MatchDataset(
     auto consider = [&](size_t j) {
       const std::string_view id_b = corpus_->target_id(j);
       if (self_join && ea.id() >= id_b) return;  // dedup: each pair once
-      const double score = bound ? compiled_->Score(i, j) : QueryScore(qv, j);
+      const double score = bound ? compiled_->Score(i, j) : SlotScore(qv, j);
       if (score >= options_.threshold) {
         local.push_back({ea.id(), std::string(id_b), score});
       }

@@ -25,7 +25,10 @@
 //     request-serving path. No thread pool involved.
 //   * MatchBatch   — a span of query entities, scored in parallel
 //     chunks on the corpus's pool; results grouped by query, in input
-//     order.
+//     order. An optional QueryOverlay hides indexed rows and adds rows
+//     the index never saw: the live corpus layer (live/live_corpus.h)
+//     serves `base ⊎ delta − tombstones` through it, so base and delta
+//     rows go through the one query scorer.
 //   * MatchDataset — the legacy full join, bit-identical to
 //     GenerateLinks (which is now a thin wrapper over Build +
 //     MatchDataset; asserted by tests/api_test.cc).
@@ -60,6 +63,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
@@ -92,6 +96,29 @@ struct MatcherIndexStats {
   /// Wall seconds spent building/compiling THIS index (for WithRule:
   /// only the incremental compile, not the original corpus build).
   double build_seconds = 0.0;
+};
+
+/// Rows a query sees beyond an index's own corpus, and indexed rows it
+/// must not see: the live corpus layer's delta log and tombstones.
+/// Overlay rows are scored by the index's query scorer from value sets
+/// the overlay evaluated for the index's rule, so a row scores the same
+/// whether it sits in the overlay or in a fresh index. Must stay
+/// unchanged for the duration of a call; read from pool workers.
+class QueryOverlay {
+ public:
+  virtual ~QueryOverlay() = default;
+  /// One byte per indexed slot; a slot j with `dead[j] != 0` is skipped
+  /// before scoring, as if the corpus never contained it. Null hides
+  /// nothing.
+  virtual const uint8_t* Tombstones() const = 0;
+  /// The overlay rows that are candidates for `entity`, ascending.
+  virtual std::vector<size_t> Candidates(const Entity& entity,
+                                         const Schema& schema) const = 0;
+  /// The entity id of overlay row `row`.
+  virtual std::string_view Id(size_t row) const = 0;
+  /// Comparison k's target subtree evaluated on overlay row `row`, k
+  /// numbering the rule's comparisons in pre-order (CollectComparisons).
+  virtual const ValueSet& TargetValues(size_t row, size_t k) const = 0;
 };
 
 /// A linkage rule deployed against a corpus: immutable, thread-safe,
@@ -152,20 +179,6 @@ class MatcherIndex {
   /// schema for a serving-only index).
   std::vector<GeneratedLink> MatchEntity(const Entity& entity) const;
 
-  /// MatchEntity with a per-slot dead mask: a candidate j with
-  /// `dead[j] != 0` is skipped before scoring, as if the corpus never
-  /// contained it. `dead` must cover every target slot and outlive the
-  /// call; nullptr behaves exactly like MatchEntity. This is the live
-  /// corpus layer's tombstone surface (live/live_corpus.h): the base
-  /// side of `base ⊎ delta − tombstones` is this index with the
-  /// snapshot's tombstone bitmap. The mask only ever hides rows, so
-  /// every returned link would also be returned unmasked — ordering and
-  /// scores are unchanged. Thread-safe; concurrent calls may pass
-  /// different masks.
-  std::vector<GeneratedLink> MatchEntityMasked(
-      const Entity& entity, const Schema& schema, const uint8_t* dead,
-      const CancelToken* cancel = nullptr) const;
-
   /// MatchEntity for every entity of `entities`, scored in parallel on
   /// the corpus pool. The result is the concatenation of the
   /// per-entity link lists in input order (deterministic for any thread
@@ -177,9 +190,14 @@ class MatcherIndex {
   /// none) — callers observe cancel->Cancelled() and must treat such a
   /// result as truncated. Without cancellation the result is
   /// bit-identical whether or not a token was passed.
-  std::vector<GeneratedLink> MatchBatch(std::span<const Entity> entities,
-                                        const Schema& schema,
-                                        const CancelToken* cancel = nullptr) const;
+  /// A non-null `overlay` must outlive the call: each query skips its
+  /// tombstoned slots and also scores its candidate rows, and threshold,
+  /// self-id skip, ordering and best-match reduction apply to the merged
+  /// links. Concurrent calls may pass different overlays.
+  std::vector<GeneratedLink> MatchBatch(
+      std::span<const Entity> entities, const Schema& schema,
+      const CancelToken* cancel = nullptr,
+      const QueryOverlay* overlay = nullptr) const;
 
   /// MatchBatch with the bound source dataset's schema.
   std::vector<GeneratedLink> MatchBatch(std::span<const Entity> entities,
@@ -277,19 +295,24 @@ class MatcherIndex {
   struct QueryValues;
   void EvaluateQueryOps(const Entity& entity, const Schema& schema,
                         QueryValues& out) const;
-  /// Score of target slot `target_index` against a query's values; 0.0
-  /// for the empty rule, as LinkageRule::Evaluate.
-  double QueryScore(const QueryValues& qv, size_t target_index) const;
+  /// Score of one target row against a query's values; 0.0 for the
+  /// empty rule, as LinkageRule::Evaluate. `target_views(k, out)`
+  /// appends comparison k's target values to `out`: interned spans for
+  /// an indexed slot (SlotScore), an overlay's value sets for its rows.
+  template <typename TargetViews>
+  double QueryScore(const QueryValues& qv, TargetViews&& target_views) const;
+  /// QueryScore of indexed slot `target_index`.
+  double SlotScore(const QueryValues& qv, size_t target_index) const;
 
   /// MatchEntity body; caller holds the corpus read lock. Probes the
-  /// blocking index (or scans the full target when blocking is off). A
+  /// blocking index (or scans the full target when blocking is off),
+  /// then scores the overlay's candidate rows when one is given. A
   /// non-null `cancel` is polled every few dozen candidates, bounding
-  /// how long one huge candidate set can overstay a request deadline. A
-  /// non-null `dead` is the MatchEntityMasked tombstone mask.
+  /// how long one huge candidate set can overstay a request deadline.
   std::vector<GeneratedLink> MatchEntityUnlocked(
       const Entity& entity, const Schema& schema,
       const CancelToken* cancel = nullptr,
-      const uint8_t* dead = nullptr) const;
+      const QueryOverlay* overlay = nullptr) const;
 
   std::shared_ptr<Corpus> corpus_;
   LinkageRule rule_;

@@ -25,6 +25,14 @@ std::string RandomTitle(Rng& rng) {
   return Join(parts, " ");
 }
 
+/// "YYYY-MM-DD". The buffer fits any three ints, so the format can
+/// never truncate.
+std::string IsoDate(int year, int month, int day) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", year, month, day);
+  return buf;
+}
+
 Movie RandomMovie(Rng& rng) {
   Movie movie;
   movie.title = RandomTitle(rng);
@@ -32,9 +40,7 @@ Movie RandomMovie(Rng& rng) {
   movie.year = std::to_string(year);
   int month = 1 + static_cast<int>(rng.PickIndex(12));
   int day = 1 + static_cast<int>(rng.PickIndex(28));
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", year, month, day);
-  movie.date = buf;
+  movie.date = IsoDate(year, month, day);
   movie.director =
       std::string(pools::FirstNames()[rng.PickIndex(pools::FirstNames().size())]) +
       " " +
@@ -101,9 +107,7 @@ MatchingTask GenerateLinkedMdb(const LinkedMdbConfig& config) {
       int year = std::stoi(movie.date.substr(0, 4));
       int month = 1 + static_cast<int>(rng.PickIndex(12));
       int day = 1 + static_cast<int>(rng.PickIndex(28));
-      char buf[16];
-      std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", year, month, day);
-      release = buf;
+      release = IsoDate(year, month, day);
     } else if (rng.Bernoulli(0.3)) {
       release = movie.date.substr(0, 4);  // year only
     }

@@ -4,9 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "common/clock.h"
-#include "common/thread_pool.h"
-#include "distance/distance_measure.h"
 #include "io/corpus_artifact.h"
 #include "matcher/blocking.h"
 #include "rule/operators.h"
@@ -22,11 +19,10 @@ double Elapsed(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 /// The deployed rule compiled for the delta side: the rule tree (the
-/// snapshot owns its clone — base index, delta scorer and delta entries
-/// must agree on operator identity), its comparison sites in pre-order
-/// (CollectComparisons: the order ScoreBySites numbers them in, and the
-/// order of DeltaEntry::site_values), and the target-side property
-/// names delta blocking keys come from.
+/// base index is built from a clone of it), its comparison sites in
+/// pre-order (CollectComparisons: the order the base index's query
+/// scorer numbers them in, and the order of DeltaEntry::site_values),
+/// and the target-side property names delta blocking keys come from.
 struct LiveCorpus::RuleProgram {
   explicit RuleProgram(const LinkageRule& deployed)
       : rule(deployed.Clone()),
@@ -43,14 +39,26 @@ struct LiveCorpus::RuleProgram {
 /// copied from) the master state where immutability already holds —
 /// only the dead mask and the delta posting map are rebuilt per
 /// publish, so they can be read without any filtering or locking.
-struct LiveCorpus::Snapshot {
+/// Queries run on the base index with the snapshot as its overlay: the
+/// tombstones hide base slots and the live delta entries are scored as
+/// extra rows by the same query scorer.
+struct LiveCorpus::Snapshot : QueryOverlay {
+  const uint8_t* Tombstones() const override { return base_dead->data(); }
+  std::vector<size_t> Candidates(const Entity& entity,
+                                 const Schema& schema) const override;
+  std::string_view Id(size_t row) const override {
+    return delta.entry(row).entity.id();
+  }
+  const ValueSet& TargetValues(size_t row, size_t k) const override {
+    return delta.entry(row).site_values[k];
+  }
+
   uint64_t epoch = 0;
   /// Keeps the dataset behind `base` alive (null over a mapped base,
   /// where the index owns the mapping).
   std::shared_ptr<const Dataset> base_data;
   std::shared_ptr<const MatcherIndex> base;
-  /// Tombstone mask over base slots, one byte per slot (the
-  /// MatchEntityMasked surface).
+  /// Tombstone mask over base slots, one byte per slot.
   std::shared_ptr<const std::vector<uint8_t>> base_dead;
   /// Immutable prefix of the delta log at publish time.
   DeltaLog::View delta;
@@ -63,11 +71,24 @@ struct LiveCorpus::Snapshot {
   /// iteration order never reaches output.
   std::shared_ptr<const std::unordered_map<std::string, std::vector<uint32_t>>>
       postings;
-  std::shared_ptr<const RuleProgram> program;
-  /// The user's options: threshold and best_match_only applied to the
-  /// merged links.
-  MatchOptions options;
 };
+
+std::vector<size_t> LiveCorpus::Snapshot::Candidates(
+    const Entity& entity, const Schema& schema) const {
+  // Probe the delta postings exactly as the base index probes its own
+  // (ProbeCandidates), or scan every live entry when blocking is off.
+  // Sorted either way, so enumeration order can never reach the output.
+  if (postings == nullptr) {
+    return std::vector<size_t>(delta_live->begin(), delta_live->end());
+  }
+  return ProbeCandidates(entity, schema, delta.count,
+                         [&](const std::string& token) {
+                           const auto it = postings->find(token);
+                           return it == postings->end()
+                                      ? std::span<const uint32_t>()
+                                      : std::span<const uint32_t>(it->second);
+                         });
+}
 
 LiveCorpus::LiveCorpus() = default;
 LiveCorpus::~LiveCorpus() = default;
@@ -90,37 +111,26 @@ Status LiveCorpus::ValidateConfig(const LinkageRule& rule,
   return Status::Ok();
 }
 
-MatchOptions LiveCorpus::BaseOptions(const MatchOptions& options) {
-  MatchOptions base = options;
-  // Best-match reduction must see the merged base+delta links; the base
-  // index returns every link reaching the threshold and the merge
-  // applies the reduction (MatchOne). Cancellation is per-call state,
-  // never part of a deployed configuration.
-  base.best_match_only = false;
-  base.cancel = nullptr;
-  return base;
-}
-
 Result<std::unique_ptr<LiveCorpus>> LiveCorpus::CreateImpl(
     const Dataset* base, std::shared_ptr<const MappedCorpus> mapped,
     const LinkageRule& rule, const MatchOptions& options,
     const LiveCorpusOptions& live_options) {
   GENLINK_RETURN_IF_ERROR(ValidateConfig(rule, options));
   auto program = std::make_shared<const RuleProgram>(rule);
+  // Cancellation is per-call state, never part of a deployed
+  // configuration.
+  MatchOptions base_options = options;
+  base_options.cancel = nullptr;
 
   std::unique_ptr<LiveCorpus> live(new LiveCorpus());
   live->mapped_ = mapped;
   live->live_options_ = live_options;
-  live->pool_ = std::make_unique<ThreadPool>(options.num_threads);
 
   WriterMutexLock lock(live->mutex_);
-  live->user_options_ = options;
-  live->user_options_.cancel = nullptr;
   live->program_ = program;
   if (mapped != nullptr) {
     live->schema_ = mapped->schema();
-    auto built =
-        MatcherIndex::Build(mapped, program->rule, BaseOptions(options));
+    auto built = MatcherIndex::Build(mapped, program->rule, base_options);
     if (!built.ok()) return built.status();
     live->base_index_ = std::move(built).value();
     live->base_dead_.assign(mapped->size(), 0);
@@ -136,7 +146,7 @@ Result<std::unique_ptr<LiveCorpus>> LiveCorpus::CreateImpl(
     auto owned = std::make_shared<const Dataset>(*base);
     live->base_data_ = owned;
     live->base_index_ =
-        MatcherIndex::Build(*owned, program->rule, BaseOptions(options));
+        MatcherIndex::Build(*owned, program->rule, base_options);
     live->base_dead_.assign(owned->size(), 0);
     for (size_t i = 0; i < owned->size(); ++i) {
       live->locations_[owned->entity(i).id()] =
@@ -269,7 +279,7 @@ Status LiveCorpus::ApplyBatchLocked(std::span<const LiveOp> ops,
       KillLocked(op.id);
       DeltaEntry entry =
           BuildDeltaEntry(std::move(op.entity), *program_,
-                          user_options_.use_blocking);
+                          base_index_->options().use_blocking);
       delta_bytes_ += entry.approx_bytes;
       const size_t slot = delta_.Append(std::move(entry));
       delta_dead_.push_back(0);
@@ -359,14 +369,13 @@ Status LiveCorpus::CompactLocked(const std::string* artifact_path) {
   // io.write_error fault) must leave the previous snapshot serving and
   // the delta log intact. The atomic writer guarantees no torn file and
   // no stray temp file at the destination either way.
+  const MatchOptions options = base_index_->options();
   if (artifact_path != nullptr) {
-    GENLINK_RETURN_IF_ERROR(WriteCorpusArtifact(
-        *artifact_path, *logical, program_->rule, BaseOptions(user_options_),
-        pool_.get()));
+    GENLINK_RETURN_IF_ERROR(WriteCorpusArtifact(*artifact_path, *logical,
+                                                program_->rule, options));
   }
   auto owned = std::make_shared<const Dataset>(std::move(logical).value());
-  base_index_ =
-      MatcherIndex::Build(*owned, program_->rule, BaseOptions(user_options_));
+  base_index_ = MatcherIndex::Build(*owned, program_->rule, options);
   base_data_ = owned;
   base_dead_.assign(owned->size(), 0);
   delta_.Reset();
@@ -400,17 +409,16 @@ Status LiveCorpus::DeployRule(const LinkageRule& rule,
   GENLINK_RETURN_IF_ERROR(ValidateConfig(rule, options));
   auto program = std::make_shared<const RuleProgram>(rule);
 
+  MatchOptions next = options;
+  next.cancel = nullptr;
+
   WriterMutexLock lock(mutex_);
   // Rebuild the base index first — over a mapped base this can fail
   // (artifact missing the new rule's plans), and then nothing may
-  // change: the old rule keeps serving.
-  auto built = base_index_->TryWithRule(program->rule, BaseOptions(options));
+  // change: the old rule keeps serving. TryWithRule pins num_threads:
+  // the pool size is corpus-lifetime.
+  auto built = base_index_->TryWithRule(program->rule, next);
   if (!built.ok()) return built.status();
-
-  MatchOptions next = options;
-  next.cancel = nullptr;
-  // The pool size is corpus-lifetime, as with TryWithRule itself.
-  next.num_threads = user_options_.num_threads;
 
   // Re-evaluate the live delta entries under the new rule into a fresh
   // log (site values and blocking keys are rule-dependent). Dead
@@ -431,7 +439,6 @@ Status LiveCorpus::DeployRule(const LinkageRule& rule,
   }
   base_index_ = std::move(built).value();
   program_ = program;
-  user_options_ = next;
   delta_ = std::move(fresh);
   delta_dead_ = std::move(fresh_dead);
   delta_bytes_ = fresh_bytes;
@@ -451,7 +458,7 @@ void LiveCorpus::PublishLocked() {
   for (size_t slot = 0; slot < snap->delta.count; ++slot) {
     if (delta_dead_[slot] == 0) live->push_back(static_cast<uint32_t>(slot));
   }
-  if (user_options_.use_blocking) {
+  if (base_index_->options().use_blocking) {
     auto postings = std::make_shared<
         std::unordered_map<std::string, std::vector<uint32_t>>>();
     for (uint32_t slot : *live) {
@@ -462,8 +469,6 @@ void LiveCorpus::PublishLocked() {
     snap->postings = std::move(postings);
   }
   snap->delta_live = std::move(live);
-  snap->program = program_;
-  snap->options = user_options_;
   std::atomic_store(&snapshot_, std::shared_ptr<const Snapshot>(snap));
 }
 
@@ -477,85 +482,11 @@ double LiveCorpus::base_build_seconds() const {
   return snapshot()->base->stats().build_seconds;
 }
 
-std::vector<GeneratedLink> LiveCorpus::MatchOne(const Snapshot& snap,
-                                                const Entity& entity,
-                                                const Schema& schema,
-                                                const CancelToken* cancel) const {
-  // Base side: the immutable index with the snapshot's tombstone mask.
-  std::vector<GeneratedLink> links = snap.base->MatchEntityMasked(
-      entity, schema, snap.base_dead->data(), cancel);
-
-  // Delta side. Query source values evaluated once per site (same bytes
-  // the fresh-build query scorer would feed each comparison).
-  const RuleProgram& program = *snap.program;
-  std::vector<ValueSet> query_values(program.sites.size());
-  for (size_t k = 0; k < program.sites.size(); ++k) {
-    query_values[k] = program.sites[k]->source()->Evaluate(entity, schema);
-  }
-
-  // Candidates: probe the delta postings exactly as the base index
-  // probes its own (ProbeCandidates), or scan every live entry when
-  // blocking is off. Sorted either way, so enumeration order can never
-  // reach the output.
-  const std::vector<size_t> candidates =
-      snap.postings != nullptr
-          ? ProbeCandidates(entity, schema, snap.delta.count,
-                            [&](const std::string& token) {
-                              const auto it = snap.postings->find(token);
-                              return it == snap.postings->end()
-                                         ? std::span<const uint32_t>()
-                                         : std::span<const uint32_t>(it->second);
-                            })
-          : std::vector<size_t>(snap.delta_live->begin(),
-                                snap.delta_live->end());
-
-  size_t scanned = 0;
-  for (const size_t slot : candidates) {
-    if (cancel != nullptr && (++scanned & 63) == 0 && cancel->Cancelled()) {
-      break;
-    }
-    const DeltaEntry& entry = snap.delta.entry(slot);
-    // Serving-only semantics, as on the base side: a record is never
-    // its own duplicate.
-    if (entry.entity.id() == entity.id()) continue;
-    // The target side reads the entry's pre-evaluated site values
-    // instead of interned store spans — same bytes, same multiset
-    // order, same DistanceViews call with the comparison threshold as
-    // bound, same empty-side convention as the base index's query
-    // scorer — so delta scores are bit-identical to what a fresh build
-    // would compute for the same pair (the correctness gate of this
-    // subsystem).
-    const double score = ScoreBySites(
-        *program.rule.root(), [&](size_t k, const ComparisonOperator& cmp) {
-          const ValueSet& source = query_values[k];
-          const ValueSet& target = entry.site_values[k];
-          if (source.empty() || target.empty()) return kInfiniteDistance;
-          thread_local std::vector<std::string_view> source_views;
-          thread_local std::vector<std::string_view> target_views;
-          source_views.assign(source.begin(), source.end());
-          target_views.assign(target.begin(), target.end());
-          return cmp.measure()->DistanceViews(
-              std::span<const std::string_view>(source_views),
-              std::span<const std::string_view>(target_views),
-              cmp.threshold());
-        });
-    if (score >= snap.options.threshold) {
-      links.push_back({entity.id(), entry.entity.id(), score});
-    }
-  }
-
-  // Merge under the one per-query order (a strict total order here:
-  // every live id occurs exactly once across base and delta), then
-  // best-match reduce, exactly as a fresh build over the logical corpus
-  // would.
-  OrderQueryLinks(links, snap.options.best_match_only);
-  return links;
-}
-
 std::vector<GeneratedLink> LiveCorpus::MatchEntity(const Entity& entity,
                                                    const Schema& schema) const {
   const auto snap = snapshot();
-  return MatchOne(*snap, entity, schema, nullptr);
+  return snap->base->MatchBatch(std::span<const Entity>(&entity, 1), schema,
+                                nullptr, snap.get());
 }
 
 std::vector<GeneratedLink> LiveCorpus::MatchEntity(const Entity& entity) const {
@@ -568,18 +499,7 @@ std::vector<GeneratedLink> LiveCorpus::MatchBatch(
   // One snapshot for the whole batch: every entity scores against the
   // same epoch no matter how writers race the call.
   const auto snap = snapshot();
-  const size_t n = entities.size();
-  std::vector<std::vector<GeneratedLink>> per_entity(n);
-  pool_->ParallelFor(n, [&](size_t i) {
-    if (cancel != nullptr && cancel->Cancelled()) return;
-    per_entity[i] = MatchOne(*snap, entities[i], schema, cancel);
-  });
-  std::vector<GeneratedLink> links;
-  for (auto& list : per_entity) {
-    links.insert(links.end(), std::make_move_iterator(list.begin()),
-                 std::make_move_iterator(list.end()));
-  }
-  return links;
+  return snap->base->MatchBatch(entities, schema, cancel, snap.get());
 }
 
 LiveCorpusStats LiveCorpus::stats() const {

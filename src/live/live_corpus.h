@@ -28,10 +28,11 @@
 // MatcherIndex::Build over the logical corpus, at any thread count.
 // Two ingredients make that hold:
 //
-//   * per-pair scores are corpus-independent: delta entities are scored
-//     by the same ScoreBySites walk and DistanceViews calls the query
-//     scorer uses, over the same value multisets in the same evaluation
-//     order;
+//   * per-pair scores are corpus-independent: a query runs on the base
+//     index with the snapshot as its QueryOverlay (api/matcher_index.h),
+//     so delta entities are scored by the base index's own query scorer,
+//     over the same value multisets in the same evaluation order, and
+//     threshold, ordering and best-match reduction see the merged links;
 //   * candidate sets are corpus-independent ONLY for the df-independent
 //     blocking configuration (index every token: blocking_max_tokens
 //     == 0, blocking_min_token_df <= 1). Weighted key selection ranks
@@ -73,7 +74,6 @@
 namespace genlink {
 
 class MappedCorpus;
-class ThreadPool;
 
 /// Policy knobs of the live layer.
 struct LiveCorpusOptions {
@@ -206,8 +206,8 @@ class LiveCorpus {
   /// MatchEntity with the corpus schema.
   std::vector<GeneratedLink> MatchEntity(const Entity& entity) const;
 
-  /// MatchEntity for every entity, scored in parallel on the live
-  /// layer's pool; the concatenation of per-entity link lists in input
+  /// MatchEntity for every entity, scored in parallel on the base
+  /// index's pool; the concatenation of per-entity link lists in input
   /// order. Every entity of one batch is scored against the SAME
   /// snapshot — a concurrent mutation becomes visible only to later
   /// calls. `cancel` follows the MatcherIndex::MatchBatch contract
@@ -259,10 +259,6 @@ class LiveCorpus {
   static Status ValidateConfig(const LinkageRule& rule,
                                const MatchOptions& options);
 
-  /// `options` with best_match_only stripped (applied after the merge)
-  /// and cancellation cleared — what the base index is built with.
-  static MatchOptions BaseOptions(const MatchOptions& options);
-
   /// Remaps `entity`'s values into the corpus schema by property name.
   Result<Entity> RemapEntity(const Entity& entity, const Schema& schema) const;
 
@@ -285,25 +281,21 @@ class LiveCorpus {
   void PublishLocked() GENLINK_REQUIRES(mutex_);
 
   std::shared_ptr<const Snapshot> snapshot() const;
-  std::vector<GeneratedLink> MatchOne(const Snapshot& snap,
-                                      const Entity& entity,
-                                      const Schema& schema,
-                                      const CancelToken* cancel) const;
 
   /// Set once by CreateImpl, immutable afterwards.
   std::shared_ptr<const MappedCorpus> mapped_;
   LiveCorpusOptions live_options_;
   Schema schema_;
-  std::unique_ptr<ThreadPool> pool_;
 
   /// Writer-priority lock over the master state below: mutations hold
   /// the writer side, stats() the reader side. Query paths never touch
   /// it — they read the published snapshot.
   mutable WriterPriorityMutex mutex_;
-  MatchOptions user_options_ GENLINK_GUARDED_BY(mutex_);
   std::shared_ptr<const RuleProgram> program_ GENLINK_GUARDED_BY(mutex_);
   /// Owned base corpus (null over a mapped base). Snapshots share it.
   std::shared_ptr<const Dataset> base_data_ GENLINK_GUARDED_BY(mutex_);
+  /// Built with the deployed options (cancellation cleared): the one
+  /// place threshold, best-match mode and blocking knobs live.
   std::shared_ptr<const MatcherIndex> base_index_ GENLINK_GUARDED_BY(mutex_);
   /// base_dead_[slot] != 0 — removed or superseded by a delta entry.
   std::vector<uint8_t> base_dead_ GENLINK_GUARDED_BY(mutex_);

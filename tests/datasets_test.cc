@@ -109,7 +109,9 @@ TEST(CoraTest, PositiveLinksShareUnderlyingPaper) {
     if (!pair.is_match) continue;
     const ValueSet& da = pair.a->Values(*date);
     const ValueSet& db = pair.b->Values(*date);
-    if (!da.empty() && !db.empty()) EXPECT_EQ(da[0], db[0]);
+    if (!da.empty() && !db.empty()) {
+      EXPECT_EQ(da[0], db[0]);
+    }
   }
 }
 

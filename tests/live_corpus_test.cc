@@ -278,6 +278,79 @@ TEST(LiveCorpusTest, SyntheticCrossSchemaQueriesWithBestMatch) {
   }
 }
 
+/// The best-match answer of `live` for `query`, checked against a fresh
+/// build over the live layer's own logical corpus.
+std::vector<GeneratedLink> BestMatchChecked(const LiveCorpus& live,
+                                            const LinkageRule& rule,
+                                            const MatchOptions& options,
+                                            const Entity& query,
+                                            const std::string& context) {
+  auto logical = live.MaterializeLogical();
+  EXPECT_TRUE(logical.ok()) << context;
+  const auto fresh = MatcherIndex::Build(*logical, rule, options);
+  const std::vector<GeneratedLink> got = live.MatchEntity(query);
+  ExpectSameLinks(got, fresh->MatchEntity(query, logical->schema()), context);
+  return got;
+}
+
+TEST(LiveCorpusTest, BestMatchTiesAcrossBaseAndDeltaPickTheSmallerId) {
+  // The base index applies the best-match reduction to the merged base
+  // and delta links, so a tie between a base row and a delta row must
+  // break on id_b exactly as in a fresh build, whichever side holds
+  // the smaller id.
+  const MatchingTask task = GenerateRestaurant({.num_entities = 60});
+  const LinkageRule rule = RestaurantRule();
+  MatchOptions options;
+  options.num_threads = 2;
+  options.best_match_only = true;
+  const Schema& schema = task.Target().schema();
+  const PropertyId name = *schema.FindProperty("name");
+  const PropertyId address = *schema.FindProperty("address");
+  auto record = [&](const std::string& id, const std::string& street) {
+    Entity out(id);
+    out.SetValues(name, {"Quixotic Zebra Bistro"});
+    out.SetValues(address, {street});
+    return out;
+  };
+  const Entity query = record("twin_query", "17 Nowhere Lane");
+
+  // The base twin sits at `base_street`; the delta twin always matches
+  // the query exactly.
+  auto serve = [&](const std::string& base_id, const std::string& base_street,
+                   const std::string& delta_id) {
+    Dataset base = task.Target();
+    EXPECT_TRUE(base.AddEntity(record(base_id, base_street)).ok());
+    auto live = LiveCorpus::Create(base, rule, options);
+    EXPECT_TRUE(live.ok()) << live.status().ToString();
+    EXPECT_TRUE(
+        (*live)->Upsert(record(delta_id, "17 Nowhere Lane"), schema).ok());
+    return std::move(live).value();
+  };
+
+  for (const bool smaller_in_base : {true, false}) {
+    const std::string base_id = smaller_in_base ? "twin_a" : "twin_b";
+    const std::string delta_id = smaller_in_base ? "twin_b" : "twin_a";
+    const std::string context =
+        smaller_in_base ? "smaller id in base" : "smaller id in delta";
+
+    const auto tied = serve(base_id, "17 Nowhere Lane", delta_id);
+    const std::vector<GeneratedLink> tie =
+        BestMatchChecked(*tied, rule, options, query, context);
+    ASSERT_EQ(tie.size(), 1u) << context;
+    EXPECT_EQ(tie[0].id_b, "twin_a") << context;
+    EXPECT_EQ(tie[0].score, 1.0) << context;
+
+    // A base twin one edit away from the query loses to the exact delta
+    // twin, whichever id is smaller.
+    const auto outscored = serve(base_id, "17 Nowhere Lne", delta_id);
+    const std::vector<GeneratedLink> win = BestMatchChecked(
+        *outscored, rule, options, query, context + ", delta outscores");
+    ASSERT_EQ(win.size(), 1u) << context;
+    EXPECT_EQ(win[0].id_b, delta_id) << context;
+    EXPECT_EQ(win[0].score, 1.0) << context;
+  }
+}
+
 TEST(LiveCorpusTest, BlockingOffStillBitIdentical) {
   const MatchingTask task = GenerateRestaurant({.num_entities = 120});
   const LinkageRule rule = RestaurantRule();

@@ -51,6 +51,14 @@ Rules (all diagnostics are `file:line: [rule] message`):
                        (rule/operators.h) or SimilarityOperator::
                        Evaluate, so a call anywhere else is a new copy
                        of the rule walk that can drift from the oracle.
+  distance-call        a call of DistanceViews( in src/ outside
+                       src/distance/, src/eval/value_store.cc and
+                       src/api/matcher_index.cc. Those hold the two
+                       distance paths: ValueStore::PairDistance (engine
+                       rows, full join) and the query scorer, which
+                       also scores the live corpus's delta rows; a call
+                       anywhere else is another scorer whose value
+                       conversion and empty-side convention can drift.
 
 Waivers — every one requires a reason:
 
@@ -83,6 +91,7 @@ RULES = (
     "raw-mutex",
     "float-accum",
     "rule-walk",
+    "distance-call",
 )
 
 SOURCE_EXTENSIONS = (".h", ".hpp", ".cc", ".cpp", ".cxx")
@@ -100,6 +109,10 @@ RAW_MUTEX_EXEMPT = re.compile(r"(^|/)common/")
 # rule-walk: the operator module owns the rule walk, distance/ owns the
 # thresholding it applies.
 RULE_WALK_EXEMPT = re.compile(r"(^|/)(?:rule/operators\.(?:h|cc)$|distance/)")
+# distance-call: distance/ defines the measures; the value store and the
+# matcher index hold the two interned-value scorers.
+DISTANCE_CALL_EXEMPT = re.compile(
+    r"(^|/)(?:distance/|eval/value_store\.cc$|api/matcher_index\.cc$)")
 
 WAIVER_RE = re.compile(
     r"//\s*lint:(?:allow\((?P<rule>[a-z-]+)\)|(?P<ordered>ordered))"
@@ -143,6 +156,8 @@ RAW_MUTEX_RE = re.compile(
 )
 
 RULE_WALK_RE = re.compile(r"(?<![\w.>])(?:ThresholdedScore|AggregateOperandScores)\s*\(")
+
+DISTANCE_CALL_RE = re.compile(r"(?<!\w)DistanceViews\s*\(")
 
 FLOAT_DECL_RE = re.compile(r"\b(?:double|float)\s+(\w+)\s*(?:=|\{|;|,)")
 ACCUM_RE = re.compile(r"(?<![\w.])(\w+)\s*\+=")
@@ -367,6 +382,14 @@ def lint_file(path: str, rel_path: str, result: LintResult) -> None:
                      "rule/operators.* and distance/: score through "
                      "ScoreBySites (rule/operators.h) instead of another "
                      "copy of the rule walk")
+
+        if not DISTANCE_CALL_EXEMPT.search(rel_path.replace(os.sep, "/")):
+            if DISTANCE_CALL_RE.search(code):
+                emit(idx, "distance-call",
+                     "`DistanceViews` called outside distance/, "
+                     "eval/value_store.cc and api/matcher_index.cc: score "
+                     "query rows through MatcherIndex (a QueryOverlay adds "
+                     "rows) instead of another scorer")
 
         # float-accum needs loop tracking regardless of gating so the
         # brace bookkeeping stays consistent; only emit when gated.

@@ -306,6 +306,53 @@ double s = ThresholdedScore(d, t);
         self.assertEqual(self.rules(r), [])
 
 
+class DistanceCallRuleTest(LintHarness):
+    SNIPPET = """\
+double Score(const ComparisonOperator& cmp) {
+  return cmp.measure()->DistanceViews(source, target, cmp.threshold());
+}
+double Other(const DistanceMeasure& measure) {
+  return measure.DistanceViews(a, b, bound);
+}
+"""
+
+    def test_flags_scorers_anywhere_else(self):
+        for path in ("src/live/live_corpus.cc", "src/eval/engine.cc",
+                     "src/eval/value_store.h", "src/api/matcher_index.h",
+                     "src/matcher/matcher.cc", "src/serve/server.cc"):
+            r = self.lint(path, self.SNIPPET)
+            self.assertEqual(self.rules(r),
+                             ["distance-call", "distance-call"], path)
+
+    def test_unqualified_call_is_flagged(self):
+        r = self.lint("src/gp/x.cc", "double d = DistanceViews(a, b, t);\n")
+        self.assertEqual(self.rules(r), ["distance-call"])
+
+    def test_the_two_scorers_and_distance_are_exempt(self):
+        for path in ("src/api/matcher_index.cc", "src/eval/value_store.cc",
+                     "src/distance/distance_measure.cc",
+                     "src/distance/distance_measure.h",
+                     "src/distance/token_set.cc"):
+            r = self.lint(path, self.SNIPPET)
+            self.assertEqual(self.rules(r), [], path)
+
+    def test_prose_and_other_names_are_fine(self):
+        r = self.lint("src/live/x.cc", """\
+// scored through the same DistanceViews(...) call as the base index
+const char* kDoc = "DistanceViews(a, b)";
+double MyDistanceViews(double d);
+double d = measure.Distance(a, b);
+""")
+        self.assertEqual(self.rules(r), [])
+
+    def test_allow_waiver_suppresses(self):
+        r = self.lint("src/live/x.cc", """\
+// lint:allow(distance-call) -- reason given
+double d = measure.DistanceViews(a, b, t);
+""")
+        self.assertEqual(self.rules(r), [])
+
+
 class WaiverAuditTest(LintHarness):
     def test_unknown_rule_in_waiver_is_an_error(self):
         r = self.lint("src/io/x.cc",
