@@ -2,16 +2,28 @@
 // `learn --match` scenario): a per-pair operator-tree baseline
 // (LinkageRule::Evaluate over the same candidates, in this file) vs
 // GenerateLinks, which scores through the value store
-// (eval/value_store.h), with token blocking and over the exhaustive
-// cross product, at one worker thread.
+// (eval/value_store.h), with blocking and over the exhaustive cross
+// product, at one worker thread. The rule has a filter plan
+// (matcher/rule_filter.h), so its blocked candidates come from the
+// rule's own comparisons.
 //
 // Doubles as a CI gate: the two paths must produce bit-identical link
-// sets (ids, scores and order); any divergence exits non-zero.
+// sets (ids, scores and order), and the blocked links must equal the
+// cross join (`links_equal_cross_join`, held at 1.0 in CI); any
+// divergence exits non-zero.
 //
 // Emits BENCH_matcher_throughput.json; `extra.pairs_per_second` is the
-// regression metric tools/compare_bench_json.py tracks, and
-// `extra.speedup_vs_operator_tree` the machine-independent ratio the
-// tentpole is judged by (>= 5x at 1 thread on the blocking config).
+// regression metric tools/compare_bench_json.py tracks,
+// `extra.speedup_vs_operator_tree` the machine-independent ratio of the
+// two scorers over the same candidates, and
+// `extra.candidates_per_query` the pairs scored per source record. The
+// filter leaves the blocked family about one candidate per record at
+// smoke scale, so its times are mostly the index build.
+//
+// A second dataset, the synthetic person corpus under perfbench's
+// pinned rule (2k x 2k at smoke scale, 20k x 20k above), reports the
+// filter's build and join seconds and candidates per query beside the
+// token index's, and whether its blocked links equal the cross join.
 
 #include <algorithm>
 #include <chrono>
@@ -21,7 +33,9 @@
 #include <vector>
 
 #include "datasets/restaurant.h"
+#include "datasets/synthetic.h"
 #include "harness.h"
+#include "api/matcher_index.h"
 #include "matcher/blocking.h"
 #include "matcher/matcher.h"
 #include "rule/builder.h"
@@ -64,27 +78,20 @@ LinkageRule MatchRule() {
 // The operator-tree baseline: GenerateLinks' self-join (each pair once,
 // id_a < id_b, sorted by score, id_a, id_b) with every candidate pair
 // scored by LinkageRule::Evaluate, so transformations run per pair.
-// Candidates come from the same TokenBlockingIndex GenerateLinks
-// builds, and its build is timed here as it is there.
+// Candidates come from the same generator GenerateLinks uses
+// (MatcherIndex::Candidates), and its build is timed here as it is
+// there.
 std::vector<GeneratedLink> OperatorTreeSelfJoin(const LinkageRule& rule,
                                                 const Dataset& data,
                                                 const MatchOptions& options) {
-  std::unique_ptr<TokenBlockingIndex> index;
-  if (options.use_blocking) {
-    index = std::make_unique<TokenBlockingIndex>(data, TargetProperties(rule));
-  }
+  const auto index = MatcherIndex::Build(data, rule, options);
   std::vector<GeneratedLink> links;
   for (const Entity& a : data.entities()) {
-    auto consider = [&](size_t j) {
+    for (size_t j : index->Candidates(a, data.schema())) {
       const Entity& b = data.entity(j);
-      if (a.id() >= b.id()) return;
+      if (a.id() >= b.id()) continue;
       const double score = rule.Evaluate(a, b, data.schema(), data.schema());
       if (score >= options.threshold) links.push_back({a.id(), b.id(), score});
-    };
-    if (index != nullptr) {
-      for (size_t j : index->Candidates(a, data.schema())) consider(j);
-    } else {
-      for (size_t j = 0; j < data.size(); ++j) consider(j);
     }
   }
   std::sort(links.begin(), links.end(), [](const auto& x, const auto& y) {
@@ -93,6 +100,32 @@ std::vector<GeneratedLink> OperatorTreeSelfJoin(const LinkageRule& rule,
     return x.id_b < y.id_b;
   });
   return links;
+}
+
+// perfbench's pinned person rule (perfbench/common.cc PinnedRule): an
+// exact phone match after removeDashes, or a name within two edits
+// together with a phone within four. Its filter plan is an exact phone
+// lookup plus a q-gram probe on the name.
+LinkageRule PersonRule() {
+  const auto name = [] {
+    return Prop("name").Transform("stripPunctuation").Lower();
+  };
+  const auto phone = [] { return Prop("phone").Transform("removeDashes"); };
+  auto rule = RuleBuilder()
+                  .Aggregate("max")
+                  .Compare("levenshtein", 1.0, phone(), phone())
+                  .Aggregate("min")
+                  .Compare("levenshtein", 4.0, name(), name())
+                  .Compare("levenshtein", 8.0, phone(), phone())
+                  .End()
+                  .End()
+                  .Build();
+  if (!rule.ok()) {
+    std::fprintf(stderr, "rule construction failed: %s\n",
+                 rule.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(rule).value();
 }
 
 bool SameLinks(const std::vector<GeneratedLink>& x,
@@ -107,6 +140,72 @@ bool SameLinks(const std::vector<GeneratedLink>& x,
   return true;
 }
 
+// The full join of the synthetic person corpus (2k entities at smoke
+// scale, 20k above) under the pinned rule, at one worker thread: the
+// filter's build and join time and candidates per query, the token
+// index's candidates per query on the same corpus for reference, and
+// whether the blocked links equal the cross join.
+BenchRecord PersonJoin(const BenchScale& scale, bool* equal_cross_join) {
+  SyntheticConfig config;
+  config.num_entities = scale.name == "smoke" ? 2000 : 20000;
+  config.seed = 1;
+  config.num_threads = 0;
+  const MatchingTask task = GenerateSynthetic(config);
+  const LinkageRule rule = PersonRule();
+  MatchOptions options;
+  options.num_threads = 1;
+
+  auto start = std::chrono::steady_clock::now();
+  const auto index = MatcherIndex::Build(task.a, task.b, rule, options);
+  const double build_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  start = std::chrono::steady_clock::now();
+  const std::vector<GeneratedLink> links = index->MatchDataset();
+  const double join_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  const TokenBlockingIndex tokens(task.b, TargetProperties(rule));
+  size_t candidates = 0;
+  size_t token_candidates = 0;
+  for (const Entity& query : task.a.entities()) {
+    candidates += index->Candidates(query, task.a.schema()).size();
+    token_candidates += tokens.Candidates(query, task.a.schema()).size();
+  }
+  MatchOptions cross = options;
+  cross.use_blocking = false;
+  cross.num_threads = 0;
+  const std::vector<GeneratedLink> cross_links =
+      MatcherIndex::Build(task.a, task.b, rule, cross)->MatchDataset();
+  *equal_cross_join = SameLinks(links, cross_links) && !links.empty();
+
+  const double n = static_cast<double>(task.a.size());
+  std::printf(
+      "person %zux%zu: filter build %.3fs, join %.3fs, %.1f candidates per "
+      "query (token blocking: %.1f), %zu links, cross join %zu links, "
+      "equal=%d\n",
+      task.a.size(), task.b.size(), build_seconds, join_seconds,
+      static_cast<double>(candidates) / n,
+      static_cast<double>(token_candidates) / n, links.size(),
+      cross_links.size(), *equal_cross_join ? 1 : 0);
+  BenchRecord record;
+  record.dataset = "synthetic-person";
+  record.system = "matcher/value-store/filter";
+  record.data_scale = n;
+  record.runs = 1;
+  record.seconds = {build_seconds + join_seconds, 0.0};
+  record.extra = {
+      {"threads", 1.0},
+      {"build_seconds", build_seconds},
+      {"join_seconds", join_seconds},
+      {"links", static_cast<double>(links.size())},
+      {"candidates_per_query", static_cast<double>(candidates) / n},
+      {"token_candidates_per_query", static_cast<double>(token_candidates) / n},
+      {"links_equal_cross_join", *equal_cross_join ? 1.0 : 0.0},
+  };
+  return record;
+}
+
 }  // namespace
 
 int main() {
@@ -118,16 +217,22 @@ int main() {
 
   // Candidate-pair counts per family, for the throughput metric: the
   // blocked paths evaluate the blocking candidates, the exhaustive
-  // paths the full (deduplicated) self cross product.
-  TokenBlockingIndex index(task.a, TargetProperties(rule));
+  // paths the full self cross product.
+  MatchOptions blocked_options;
+  blocked_options.num_threads = 1;
+  const auto index = MatcherIndex::Build(task.a, rule, blocked_options);
+  const bool planned = index->filter_plan() != nullptr;
   size_t blocked_pairs = 0;
   for (size_t i = 0; i < task.a.size(); ++i) {
-    blocked_pairs += index.Candidates(task.a.entity(i), task.a.schema()).size();
+    blocked_pairs += index->Candidates(task.a.entity(i), task.a.schema()).size();
   }
   const size_t cross_pairs = task.a.size() * task.a.size();
-  std::printf("restaurant: %zu records, %zu blocked / %zu cross candidate "
-              "pairs\n",
-              task.a.size(), blocked_pairs, cross_pairs);
+  const double candidates_per_query =
+      static_cast<double>(blocked_pairs) / static_cast<double>(task.a.size());
+  std::printf("restaurant: %zu records, %zu blocked (%.1f per query, %s) / "
+              "%zu cross candidate pairs\n",
+              task.a.size(), blocked_pairs, candidates_per_query,
+              planned ? "filter plan" : "token blocking", cross_pairs);
 
   // Best-of-3 even at smoke scale: single-sample wall times on a
   // millisecond-long join are too noisy for the CI ratio gate.
@@ -163,7 +268,7 @@ int main() {
   }
 
   // Bit-identity gate: value-store links == operator-tree links, per
-  // blocking family.
+  // blocking family; and blocking loses no link of the cross join.
   bool identical = SameLinks(runs[0].links, runs[1].links) &&
                    SameLinks(runs[2].links, runs[3].links) &&
                    !runs[1].links.empty();
@@ -171,6 +276,13 @@ int main() {
     std::fprintf(stderr,
                  "ERROR: value-store links differ from operator-tree links "
                  "(or no links were generated)\n");
+  }
+  const bool equal_cross_join = SameLinks(runs[1].links, runs[3].links);
+  if (!equal_cross_join) {
+    std::fprintf(stderr,
+                 "ERROR: blocked links (%zu) differ from the cross join "
+                 "(%zu)\n",
+                 runs[1].links.size(), runs[3].links.size());
   }
 
   auto operator_tree_seconds = [&](bool use_blocking) {
@@ -200,8 +312,18 @@ int main() {
         {"speedup_vs_operator_tree",
          run.seconds > 0.0 ? baseline / run.seconds : 0.0},
         {"links_identical", identical ? 1.0 : 0.0},
+        {"links_equal_cross_join", equal_cross_join ? 1.0 : 0.0},
+        {"candidates_per_query",
+         static_cast<double>(run.pairs) / static_cast<double>(task.a.size())},
     };
     records.push_back(std::move(record));
+  }
+  bool person_equal_cross_join = false;
+  records.push_back(PersonJoin(scale, &person_equal_cross_join));
+  if (!person_equal_cross_join) {
+    std::fprintf(stderr,
+                 "ERROR: person join blocked links differ from the cross "
+                 "join\n");
   }
   WriteBenchJson("matcher_throughput", scale, records);
 
@@ -215,5 +337,5 @@ int main() {
       }
     }
   }
-  return identical ? 0 : 1;
+  return identical && equal_cross_join && person_equal_cross_join ? 0 : 1;
 }

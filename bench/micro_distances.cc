@@ -70,6 +70,27 @@ void BM_LevenshteinBounded(benchmark::State& state) {
 }
 BENCHMARK(BM_LevenshteinBounded)->Arg(8)->Arg(32)->Arg(64)->Arg(256);
 
+// The measure surface every scorer calls: BoundedValueDistance at the
+// default threshold range, on a random pair (range(1) == 0) and on a
+// near pair two substitutions apart (range(1) == 1), the typical
+// candidate a filter lets through.
+void BM_LevenshteinBoundedValue(benchmark::State& state) {
+  const LevenshteinDistance measure;
+  const size_t length = static_cast<size_t>(state.range(0));
+  ValueSet a = MakeValues(1, length, 1);
+  ValueSet b = MakeValues(1, length, 2);
+  if (state.range(1) != 0) {
+    b[0] = a[0];
+    b[0][0] = b[0][0] == 'x' ? 'y' : 'x';
+    b[0][length / 2] = b[0][length / 2] == 'x' ? 'y' : 'x';
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(measure.BoundedValueDistance(a[0], b[0], 5.0));
+  }
+  SetPairRate(state);
+}
+BENCHMARK(BM_LevenshteinBoundedValue)->ArgsProduct({{8, 32, 64, 256}, {0, 1}});
+
 // ------------------------------------------------------- Jaro old/new
 
 void BM_JaroRef(benchmark::State& state) {

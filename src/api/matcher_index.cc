@@ -76,6 +76,11 @@ struct MatcherIndex::Corpus {
   using BlockingKey = std::tuple<std::vector<std::string>, size_t, size_t>;
   std::map<BlockingKey, std::shared_ptr<const BlockingIndex>> blocking_cache
       GENLINK_GUARDED_BY(mutex);
+  /// Filter columns over target plans built in this process (a mapped
+  /// artifact's own columns are borrowed, not cached), keyed by PlanId:
+  /// every generation probing the same target subtree shares one.
+  std::map<PlanId, std::shared_ptr<const FilterColumn>> filter_columns
+      GENLINK_GUARDED_BY(mutex);
   std::unique_ptr<ThreadPool> pool;
 
   // Target-side accessors every query path uses, so the dataset-backed
@@ -181,8 +186,13 @@ Status MatcherIndex::CompileLocked() {
   // requirement is asserted rather than spelled as GENLINK_REQUIRES.
   corpus.mutex.AssertWriterHeld();
   reader_ = nullptr;
-  if (corpus.mapped != nullptr) return CompileMappedLocked();
-  if (options_.use_blocking) {
+  // A rule with a filter plan takes its candidates from the plan; the
+  // token knobs only apply to rules without one.
+  std::optional<FilterPlan> plan =
+      options_.use_blocking ? DeriveFilterPlan(rule_, options_.threshold)
+                            : std::nullopt;
+  if (corpus.mapped != nullptr) return CompileMappedLocked(plan);
+  if (options_.use_blocking && !plan.has_value()) {
     std::vector<std::string> properties = TargetProperties(rule_);
     auto& slot = corpus.blocking_cache[Corpus::BlockingKey(
         properties, options_.blocking_max_tokens, options_.blocking_min_token_df)];
@@ -211,12 +221,68 @@ Status MatcherIndex::CompileLocked() {
   reader_ = corpus.store.get();
   [[maybe_unused]] const bool complete = BuildQuerySites(&ValueOperatorHash);
   assert(complete);
+  if (corpus.source != nullptr) {
+    // The full join probes the filter with the bound source's values,
+    // which compiled_ already interned.
+    query_source_plans_.clear();
+    for (const ValueOperator* op : query_ops_) {
+      query_source_plans_.push_back(
+          *corpus.store->FindPlan(ValueReader::Side::kSource,
+                                  ValueOperatorHash(*op)));
+    }
+  }
+  if (plan.has_value()) BuildFilterLocked(std::move(*plan));
   return Status::Ok();
 }
 
-Status MatcherIndex::CompileMappedLocked() {
+void MatcherIndex::BuildFilterLocked(FilterPlan plan) {
+  Corpus& corpus = *corpus_;
+  corpus.mutex.AssertWriterHeld();
+  // Each probe's column: the artifact's own, else the corpus cache, else
+  // built here and cached. A probe with a bound above 0 needs a column
+  // with q-gram postings; a column is built with them when any probe of
+  // the plan on its target plan needs them. Built on the calling thread:
+  // the build's transient buffers would otherwise stay resident in the
+  // allocator arenas of pool workers.
+  std::map<PlanId, bool> needs_grams;
+  for (const FilterProbe& probe : plan.probes) {
+    needs_grams[query_sites_[probe.comparison].target_plan] |= probe.bound > 0;
+  }
+  std::vector<std::shared_ptr<const FilterColumn>> columns;
+  for (const FilterProbe& probe : plan.probes) {
+    const PlanId target_plan = query_sites_[probe.comparison].target_plan;
+    const bool grams = needs_grams[target_plan];
+    const FilterColumn* mapped_column =
+        corpus.mapped != nullptr ? corpus.mapped->filter_column(target_plan)
+                                 : nullptr;
+    if (mapped_column != nullptr && (mapped_column->has_grams() || !grams)) {
+      // Aliasing shared_ptr: the column lives inside the mapped corpus.
+      columns.emplace_back(corpus.mapped, mapped_column);
+      continue;
+    }
+    auto& slot = corpus.filter_columns[target_plan];
+    if (slot == nullptr || (grams && !slot->has_grams())) {
+      slot = FilterColumn::Build(
+          corpus.target_size(),
+          [&](size_t row, std::vector<std::string_view>& out) {
+            for (ValueId id :
+                 reader_->Values(ValueReader::Side::kTarget, target_plan, row)) {
+              out.push_back(reader_->View(id));
+            }
+          },
+          grams);
+    }
+    columns.push_back(slot);
+  }
+  filter_ = std::make_shared<const FilterIndex>(std::move(plan),
+                                                std::move(columns),
+                                                corpus.target_size());
+}
+
+Status MatcherIndex::CompileMappedLocked(
+    const std::optional<FilterPlan>& plan) {
   const MappedCorpus& mapped = *corpus_->mapped;
-  if (options_.use_blocking) {
+  if (options_.use_blocking && !plan.has_value()) {
     // The artifact carries exactly one blocking configuration; serving
     // a different one would need the original dataset. Refuse with the
     // mismatch named instead of silently scanning or re-indexing.
@@ -262,6 +328,7 @@ Status MatcherIndex::CompileMappedLocked() {
         "' has no precomputed value plan for a target-side subtree of "
         "this rule; re-run `genlink index` with the new rule");
   }
+  if (plan.has_value()) BuildFilterLocked(*plan);
   return Status::Ok();
 }
 
@@ -330,6 +397,59 @@ void MatcherIndex::EvaluateQueryOps(const Entity& entity, const Schema& schema,
       out.views[i].push_back(value);
     }
   }
+}
+
+void MatcherIndex::StoredQueryValues(size_t source_index,
+                                     QueryValues& out) const {
+  corpus_->mutex.AssertReaderHeld();
+  out.views.resize(query_ops_.size());
+  for (size_t i = 0; i < query_ops_.size(); ++i) {
+    out.views[i].clear();
+    for (ValueId id : corpus_->store->Values(ValueReader::Side::kSource,
+                                             query_source_plans_[i],
+                                             source_index)) {
+      out.views[i].push_back(corpus_->store->View(id));
+    }
+  }
+}
+
+QueryViews MatcherIndex::QueryViewsOf(const QueryValues& qv) const {
+  return [this, &qv](size_t k) {
+    return std::span<const std::string_view>(
+        qv.views[query_sites_[k].source_slot]);
+  };
+}
+
+template <typename Visit>
+void MatcherIndex::ForEachCandidate(const Entity& entity, const Schema& schema,
+                                    const QueryValues& qv,
+                                    Visit&& visit) const {
+  if (filter_ != nullptr) {
+    for (size_t j : filter_->Candidates(QueryViewsOf(qv))) {
+      if (!visit(j)) return;
+    }
+  } else if (blocking_ != nullptr) {
+    for (size_t j : blocking_->Candidates(entity, schema)) {
+      if (!visit(j)) return;
+    }
+  } else {
+    for (size_t j = 0; j < corpus_->target_size(); ++j) {
+      if (!visit(j)) return;
+    }
+  }
+}
+
+std::vector<size_t> MatcherIndex::Candidates(const Entity& entity,
+                                             const Schema& schema) const {
+  ReaderMutexLock lock(corpus_->mutex);
+  QueryValues qv;
+  EvaluateQueryOps(entity, schema, qv);
+  std::vector<size_t> out;
+  ForEachCandidate(entity, schema, qv, [&](size_t j) {
+    out.push_back(j);
+    return true;
+  });
+  return out;
 }
 
 template <typename TargetViews>
@@ -410,19 +530,14 @@ std::vector<GeneratedLink> MatcherIndex::MatchEntityUnlocked(
   auto cancelled = [&] {
     return cancel != nullptr && (++scanned & 63) == 0 && cancel->Cancelled();
   };
-  if (blocking_ != nullptr) {
-    for (size_t j : blocking_->Candidates(entity, schema)) {
-      if (cancelled()) break;
-      consider(j);
-    }
-  } else {
-    for (size_t j = 0; j < corpus_->target_size(); ++j) {
-      if (cancelled()) break;
-      consider(j);
-    }
-  }
+  ForEachCandidate(entity, schema, qv, [&](size_t j) {
+    if (cancelled()) return false;
+    consider(j);
+    return true;
+  });
   if (overlay != nullptr) {
-    for (size_t row : overlay->Candidates(entity, schema)) {
+    for (size_t row :
+         overlay->Candidates(entity, schema, QueryViewsOf(qv))) {
       if (cancelled()) break;
       keep(overlay->Id(row), [&] {
         return QueryScore(qv, [&](size_t k,
@@ -502,7 +617,11 @@ std::vector<GeneratedLink> MatcherIndex::MatchDataset(
     if (options_.cancel != nullptr && options_.cancel->Cancelled()) return;
     const Entity& ea = source.entity(i);
     QueryValues qv;
-    if (!bound) EvaluateQueryOps(ea, source.schema(), qv);
+    if (!bound) {
+      EvaluateQueryOps(ea, source.schema(), qv);
+    } else if (filter_ != nullptr) {
+      StoredQueryValues(i, qv);
+    }
     std::vector<GeneratedLink> local;
     auto consider = [&](size_t j) {
       const std::string_view id_b = corpus_->target_id(j);
@@ -512,11 +631,10 @@ std::vector<GeneratedLink> MatcherIndex::MatchDataset(
         local.push_back({ea.id(), std::string(id_b), score});
       }
     };
-    if (blocking_ != nullptr) {
-      for (size_t j : blocking_->Candidates(ea, source.schema())) consider(j);
-    } else {
-      for (size_t j = 0; j < corpus_->target_size(); ++j) consider(j);
-    }
+    ForEachCandidate(ea, source.schema(), qv, [&](size_t j) {
+      consider(j);
+      return true;
+    });
     if (options_.best_match_only) OrderQueryLinks(local, true);
     if (!local.empty()) {
       MutexLock links_lock(links_mutex);
@@ -543,7 +661,10 @@ MatcherIndexStats MatcherIndex::stats() const {
   ReaderMutexLock lock(corpus_->mutex);
   MatcherIndexStats stats;
   stats.target_entities = corpus_->target_size();
-  if (blocking_ != nullptr) {
+  if (filter_ != nullptr) {
+    stats.blocking_tokens = filter_->NumKeys();
+    stats.blocking_postings = filter_->NumPostings();
+  } else if (blocking_ != nullptr) {
     stats.blocking_tokens = blocking_->NumTokens();
     stats.blocking_postings = blocking_->NumPostings();
   }

@@ -13,8 +13,10 @@
 //
 // Build compiles the rule's value subtrees into a persistent value
 // store (eval/value_store.h: per-entity transform plans + interned
-// token-id spans) and constructs a persistent TokenBlockingIndex
-// (matcher/blocking.h); queries then pay only candidate lookup plus
+// token-id spans) and a persistent candidate generator: for a rule with
+// a filter plan (matcher/rule_filter.h) a FilterIndex over the target
+// plans, which loses no link; for any other rule a TokenBlockingIndex
+// (matcher/blocking.h). Queries then pay only candidate lookup plus
 // interned-distance scoring. There is one scoring path per pair shape:
 // the query scorer (source values evaluated per query, target values
 // read from the store or a mapped artifact) for MatchEntity/MatchBatch
@@ -62,6 +64,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -69,6 +72,7 @@
 #include "common/clock.h"
 #include "common/status.h"
 #include "matcher/matcher.h"
+#include "matcher/rule_filter.h"
 #include "rule/linkage_rule.h"
 
 namespace genlink {
@@ -77,16 +81,19 @@ class CompiledRule;
 class MappedCorpus;
 class ValueReader;
 class ValueStore;
+using PlanId = uint32_t;
 class ThreadPool;
 
 /// Snapshot counters of a built index (stats()).
 struct MatcherIndexStats {
   /// Entities on the indexed (target) side.
   size_t target_entities = 0;
-  /// Distinct tokens in the blocking index (0 when blocking is off).
+  /// Distinct keys of the candidate generator (0 when blocking is off):
+  /// tokens of a token index, or distinct values plus q-grams of a
+  /// filter index.
   size_t blocking_tokens = 0;
-  /// (token, entity) postings in the blocking index (0 when blocking is
-  /// off).
+  /// Postings of the candidate generator (0 when blocking is off):
+  /// (token, entity), or (value, entity) plus (q-gram, value).
   size_t blocking_postings = 0;
   /// Transform plans materialized in the shared value store, summed
   /// over all rules compiled against this corpus.
@@ -112,8 +119,11 @@ class QueryOverlay {
   /// nothing.
   virtual const uint8_t* Tombstones() const = 0;
   /// The overlay rows that are candidates for `entity`, ascending.
+  /// `query(k)` holds comparison k's query-side values, which a planned
+  /// rule's filter (MatcherIndex::filter_plan) probes with.
   virtual std::vector<size_t> Candidates(const Entity& entity,
-                                         const Schema& schema) const = 0;
+                                         const Schema& schema,
+                                         const QueryViews& query) const = 0;
   /// The entity id of overlay row `row`.
   virtual std::string_view Id(size_t row) const = 0;
   /// Comparison k's target subtree evaluated on overlay row `row`, k
@@ -142,17 +152,19 @@ class MatcherIndex {
       const Dataset& target, const LinkageRule& rule,
       const MatchOptions& options = {});
 
-  /// Zero-copy serving build over a mapped v2 corpus artifact
+  /// Zero-copy serving build over a mapped corpus artifact
   /// (io/corpus_artifact.h): the same serving surface as the
-  /// serving-only Build, but value spans and blocking postings are read
-  /// straight from the mapping — nothing is parsed, interned or
-  /// re-indexed, so cold start is bounded by Load() validation, not by
-  /// corpus size. Queries are bit-identical to a fresh Build over the
-  /// dataset the artifact was written from. Fails with a named Status
-  /// when the rule needs a value plan the artifact did not precompute,
-  /// or when options request a blocking configuration (properties,
-  /// max-tokens, min-df) the artifact does not carry — re-run
-  /// `genlink index`. The rule must be non-empty.
+  /// serving-only Build, but value spans, blocking postings and filter
+  /// columns are read straight from the mapping — nothing is parsed,
+  /// interned or re-indexed, so cold start is bounded by Load()
+  /// validation, not by corpus size (a filter column the artifact lacks,
+  /// e.g. in a v2 file, is built at load). Queries are bit-identical to
+  /// a fresh Build over the dataset the artifact was written from.
+  /// Fails with a named Status when the rule needs a value plan the
+  /// artifact did not precompute, or when a rule without a filter plan
+  /// requests a token blocking configuration (properties, max-tokens,
+  /// min-df) the artifact does not carry — re-run `genlink index`. The
+  /// rule must be non-empty.
   static Result<std::shared_ptr<const MatcherIndex>> Build(
       std::shared_ptr<const MappedCorpus> corpus, const LinkageRule& rule,
       const MatchOptions& options = {});
@@ -203,6 +215,13 @@ class MatcherIndex {
   std::vector<GeneratedLink> MatchBatch(std::span<const Entity> entities,
                                         const CancelToken* cancel = nullptr) const;
 
+  /// The target rows a query of `entity` is scored against, ascending:
+  /// the filter's candidates for a planned rule, the token index's
+  /// otherwise, every row when blocking is off. The query surfaces use
+  /// the same generator; benches count candidates with it.
+  std::vector<size_t> Candidates(const Entity& entity,
+                                 const Schema& schema) const;
+
   /// The legacy full join of `source` against the indexed corpus,
   /// bit-identical to GenerateLinks(rule, source, target, options):
   /// same pairs, same doubles, same order, including the self-join
@@ -241,6 +260,13 @@ class MatcherIndex {
   /// fails and is equivalent to WithRule.
   Result<std::shared_ptr<const MatcherIndex>> TryWithRule(
       const LinkageRule& rule, const MatchOptions& options) const;
+
+  /// The filter plan candidates come from (matcher/rule_filter.h); null
+  /// when the rule has none or blocking is off (token postings or a
+  /// full scan then).
+  const FilterPlan* filter_plan() const {
+    return filter_ != nullptr ? &filter_->plan() : nullptr;
+  }
 
   /// The deployed rule / the options every query path uses.
   const LinkageRule& rule() const { return rule_; }
@@ -283,8 +309,13 @@ class MatcherIndex {
   /// configuration.
   Status CompileLocked();
   /// The mapped-corpus arm of CompileLocked: resolves plans from the
-  /// artifact and borrows its blocking postings instead of building.
-  Status CompileMappedLocked();
+  /// artifact and borrows its blocking postings or filter columns
+  /// instead of building.
+  Status CompileMappedLocked(const std::optional<FilterPlan>& plan);
+  /// Builds filter_ for `plan` over the target plans of query_sites_:
+  /// each probe's column comes from the artifact when it carries one,
+  /// else from the corpus cache, else is built and cached.
+  void BuildFilterLocked(FilterPlan plan);
   /// Builds query_ops_ and query_sites_ for rule_'s comparisons in
   /// pre-order, resolving each target subtree to the reader_ plan keyed
   /// by `target_hash` of it (the two compile arms differ only in that
@@ -295,6 +326,18 @@ class MatcherIndex {
   struct QueryValues;
   void EvaluateQueryOps(const Entity& entity, const Schema& schema,
                         QueryValues& out) const;
+  /// The same views read from the store for bound source entity
+  /// `source_index` (the full join's filter probe).
+  void StoredQueryValues(size_t source_index, QueryValues& out) const;
+  /// Comparison k's values in `qv`, which must outlive the result.
+  QueryViews QueryViewsOf(const QueryValues& qv) const;
+  /// Calls `visit(j)` for each candidate target row of a query, in
+  /// ascending order, until it returns false: the filter's candidates
+  /// for the query values `qv`, the token index's for `entity`, or every
+  /// row when blocking is off. Caller holds the corpus read lock.
+  template <typename Visit>
+  void ForEachCandidate(const Entity& entity, const Schema& schema,
+                        const QueryValues& qv, Visit&& visit) const;
   /// Score of one target row against a query's values; 0.0 for the
   /// empty rule, as LinkageRule::Evaluate. `target_views(k, out)`
   /// appends comparison k's target values to `out`: interned spans for
@@ -305,7 +348,8 @@ class MatcherIndex {
   double SlotScore(const QueryValues& qv, size_t target_index) const;
 
   /// MatchEntity body; caller holds the corpus read lock. Probes the
-  /// blocking index (or scans the full target when blocking is off),
+  /// filter or the token index (or scans the full target when blocking
+  /// is off),
   /// then scores the overlay's candidate rows when one is given. A
   /// non-null `cancel` is polled every few dozen candidates, bounding
   /// how long one huge candidate set can overstay a request deadline.
@@ -318,10 +362,13 @@ class MatcherIndex {
   LinkageRule rule_;
   MatchOptions options_;
 
-  /// Blocking index over the target side for rule_'s target properties
+  /// Candidate generator of a planned rule (rule_filter.h); null when
+  /// the rule has no plan or options_.use_blocking is false.
+  std::shared_ptr<const FilterIndex> filter_;
+  /// Token index over the target side for rule_'s target properties
   /// and the options' blocking knobs (shared with other generations
-  /// using the same property set and knobs); null when
-  /// options_.use_blocking is false.
+  /// using the same property set and knobs); null when filter_ is set
+  /// or options_.use_blocking is false.
   std::shared_ptr<const BlockingIndex> blocking_;
   /// Compiled scoring for store-resident entity pairs (the full-join
   /// path); null for a mapped corpus or the empty rule.
@@ -332,6 +379,9 @@ class MatcherIndex {
   /// scorer, in pre-order. Empty for the empty rule.
   std::vector<const ValueOperator*> query_ops_;
   std::vector<QuerySite> query_sites_;
+  /// Per query_ops_ slot, the bound source's store plan of that subtree
+  /// (StoredQueryValues); empty without a bound source.
+  std::vector<PlanId> query_source_plans_;
 
   /// The target-side read surface the query scorer consumes — the
   /// corpus value store or the mapped corpus. Set by CompileLocked;

@@ -59,4 +59,14 @@ double ThresholdedScore(double distance, double threshold) {
   return 1.0 - distance / threshold;
 }
 
+std::optional<int> MaxPassingDistance(double threshold, double min_score,
+                                      int limit) {
+  for (int d = 0; d <= limit + 1; ++d) {
+    if (!(ThresholdedScore(static_cast<double>(d), threshold) >= min_score)) {
+      return d - 1;
+    }
+  }
+  return std::nullopt;
+}
+
 }  // namespace genlink

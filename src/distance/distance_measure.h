@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <span>
 #include <string_view>
 
@@ -98,6 +99,18 @@ class DistanceMeasure {
 ///   1 - d/θ  if d <= θ, else 0.
 /// θ == 0 degenerates to exact match (1 if d == 0 else 0).
 double ThresholdedScore(double distance, double threshold);
+
+/// The largest integer distance d in [0, limit] whose comparison still
+/// scores at least `min_score`: ThresholdedScore(d, threshold) >=
+/// min_score, evaluated as that exact double predicate (never as
+/// threshold * (1 - min_score) rounded in floating point). Returns -1
+/// when no distance passes (not even d = 0) and nullopt when d = limit+1
+/// passes too, i.e. the comparison bounds the distance by nothing
+/// smaller than `limit`. ThresholdedScore is non-increasing in d, so the
+/// passing distances are exactly [0, result]. The blocking filter plan
+/// (matcher/rule_filter.h) derives its per-comparison bounds here.
+std::optional<int> MaxPassingDistance(double threshold, double min_score,
+                                      int limit);
 
 }  // namespace genlink
 

@@ -234,17 +234,27 @@ double LevenshteinDistance::ValueDistance(std::string_view a, std::string_view b
 double LevenshteinDistance::BoundedValueDistance(std::string_view a,
                                                 std::string_view b,
                                                 double bound) const {
-  // Distances are integers: d <= bound iff d <= floor(bound), so the
-  // banded kernel computes every distance the threshold can reach
-  // exactly and maps the rest to floor(bound)+1 > bound.
+  // Distances are integers: d <= bound iff d <= floor(bound), so every
+  // distance the threshold can reach is computed exactly and the rest
+  // map to floor(bound)+1 > bound. A negative bound admits no distance;
+  // its stand-in is 1, never 0, which ThresholdedScore would read as an
+  // exact match.
   const size_t longer = std::max(a.size(), b.size());
   if (!(bound < static_cast<double>(longer))) return ValueDistance(a, b);
+  const double beyond = std::floor(std::max(bound, 0.0)) + 1.0;
   // Candidate-loop prefilters: both are sound (false only when the
   // distance provably exceeds the bound), so skipping the kernel here
   // is bit-identical after ThresholdedScore.
   if (!PassesLevenshteinLengthFilter(a, b, bound) ||
       !PassesLevenshteinPrefixFilter(a, b, bound)) {
-    return std::floor(bound) + 1.0;
+    return beyond;
+  }
+  // Myers' bit-parallel kernel is exact and, for a pattern of at most 64
+  // characters, cheaper than the banded program even with its early
+  // exit; the bound is applied to its result.
+  if (std::min(a.size(), b.size()) <= 64) {
+    const double d = static_cast<double>(LevenshteinEditDistance(a, b));
+    return d <= bound ? d : beyond;
   }
   return static_cast<double>(BoundedLevenshteinEditDistance(
       a, b, static_cast<int>(std::floor(bound))));

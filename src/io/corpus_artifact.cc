@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstring>
 #include <deque>
 #include <map>
@@ -21,7 +22,10 @@ static_assert(std::endian::native == std::endian::little,
               "corpus artifact v2 assumes a little-endian host");
 
 constexpr char kMagic[8] = {'G', 'L', 'C', 'O', 'R', 'P', '2', '\n'};
-constexpr uint32_t kVersion = 2;
+/// v3 appends the filter-column sections; v2 files (no filter columns)
+/// still load, and a planned rule then builds its columns at load.
+constexpr uint32_t kVersion = 3;
+constexpr uint32_t kVersionV2 = 2;
 constexpr uint64_t kFlagHasBlocking = 1;
 /// The v1 rule-artifact magic (io/artifact.cc), special-cased for a
 /// precise error when someone points --index at a rule file.
@@ -44,10 +48,14 @@ enum Section : size_t {
   kTokenIds,
   kPostingOffsets,
   kPostings,
+  kFilterDirectory,  // v3
+  kFilterWords,      // v3
   kNumSections,
 };
+constexpr size_t kNumSectionsV2 = kFilterDirectory;
 
-struct Header {
+template <size_t kSections>
+struct HeaderLayout {
   char magic[8];
   uint32_t version;
   uint32_t header_bytes;
@@ -71,11 +79,13 @@ struct Header {
   /// depended on it.
   uint64_t blocking_shards;
   uint64_t rule_hash;
-  uint64_t section_offset[kNumSections];
-  uint64_t section_bytes[kNumSections];
+  uint64_t section_offset[kSections];
+  uint64_t section_bytes[kSections];
 };
+using Header = HeaderLayout<kNumSections>;
+using HeaderV2 = HeaderLayout<kNumSectionsV2>;
 static_assert(std::is_trivially_copyable_v<Header>);
-static_assert(sizeof(Header) % 8 == 0);
+static_assert(sizeof(Header) % 8 == 0 && sizeof(HeaderV2) % 8 == 0);
 
 /// One plan directory entry as laid out in the file (matches
 /// MappedCorpus::PlanDir).
@@ -86,12 +96,29 @@ struct PlanDirEntry {
 };
 static_assert(sizeof(PlanDirEntry) == 24);
 
-/// Order-sensitive streaming checksum: 8 input bytes per HashCombine
-/// step (common/hash.h), with the total length folded in at the end so
-/// trailing zeros cannot be appended for free. Not cryptographic —
-/// this detects truncation, bit rot and torn writes, not adversaries.
+/// One filter column (matcher/rule_filter.h) of the v3 FilterDirectory:
+/// the target plan it indexes and its word range in FilterWords.
+struct FilterDirEntry {
+  uint64_t plan;
+  uint64_t word_begin;
+  uint64_t word_count;
+};
+static_assert(sizeof(FilterDirEntry) == 24);
+
+/// Order-sensitive streaming checksum over 8-byte little-endian words,
+/// with the total length folded in at the end so trailing zeros cannot
+/// be appended for free. Not cryptographic — this detects truncation,
+/// bit rot and torn writes, not adversaries.
+///   * v2: one HashCombine chain (common/hash.h) over every word.
+///   * v3: word i feeds lane i % 4, each lane a multiply-xorshift step
+///     (a bijection of the lane state for any word, so one changed word
+///     always changes the result); the lanes then fold through
+///     HashCombine. Four independent chains verify the file several
+///     times faster, which the mapped cold start pays on every load.
 class StreamingHash64 {
  public:
+  explicit StreamingHash64(uint32_t version) : lanes_(version >= 3 ? 4 : 1) {}
+
   void Update(std::string_view bytes) {
     const char* p = bytes.data();
     size_t left = bytes.size();
@@ -103,14 +130,27 @@ class StreamingHash64 {
       --left;
     }
     if (fill_ == 8) {
-      hash_ = HashCombine(hash_, word_);
+      Word(word_);
       word_ = 0;
       fill_ = 0;
+    }
+    if (lanes_ == 4) {
+      while (left >= 32) {
+        uint64_t w[4];
+        std::memcpy(w, p, 32);
+        for (size_t k = 0; k < 4; ++k) {
+          const size_t lane = (words_ + k) & 3;
+          lane_[lane] = Mix(lane_[lane], w[k]);
+        }
+        words_ += 4;
+        p += 32;
+        left -= 32;
+      }
     }
     while (left >= 8) {
       uint64_t w;
       std::memcpy(&w, p, 8);
-      hash_ = HashCombine(hash_, w);
+      Word(w);
       p += 8;
       left -= 8;
     }
@@ -122,15 +162,35 @@ class StreamingHash64 {
   }
 
   uint64_t Finish() const {
-    uint64_t h = hash_;
+    uint64_t h = lane_[0];
+    for (size_t lane = 1; lane < lanes_; ++lane) h = HashCombine(h, lane_[lane]);
     if (fill_ > 0) h = HashCombine(h, word_);
     return HashCombine(h, total_);
   }
 
  private:
-  uint64_t hash_ = 0x9e3779b97f4a7c15ull;  // arbitrary non-zero seed
+  static uint64_t Mix(uint64_t lane, uint64_t word) {
+    lane = (lane + word) * 0x9E3779B97F4A7C15ull;
+    return lane ^ (lane >> 29);
+  }
+
+  void Word(uint64_t w) {
+    if (lanes_ == 1) {
+      lane_[0] = HashCombine(lane_[0], w);
+    } else {
+      const size_t lane = words_ & 3;
+      lane_[lane] = Mix(lane_[lane], w);
+    }
+    ++words_;
+  }
+
+  size_t lanes_;
+  // Arbitrary non-zero seeds; lane 0's is the v2 chain's.
+  uint64_t lane_[4] = {0x9e3779b97f4a7c15ull, 0xbf58476d1ce4e5b9ull,
+                       0x94d049bb133111ebull, 0x2545f4914f6cdd1dull};
   uint64_t word_ = 0;
   size_t fill_ = 0;
+  uint64_t words_ = 0;
   uint64_t total_ = 0;
 };
 
@@ -315,6 +375,37 @@ Status WriteCorpusArtifact(const std::string& path, const Dataset& target,
     }
   }
 
+  // Filter columns for the rule's filter plan, one per distinct target
+  // plan a probe reads — what MatcherIndex would otherwise build at load.
+  std::vector<FilterDirEntry> filter_dir;
+  std::vector<uint32_t> filter_words;
+  const std::optional<FilterPlan> filter_plan =
+      options.use_blocking ? DeriveFilterPlan(rule, options.threshold)
+                           : std::nullopt;
+  if (filter_plan.has_value()) {
+    // Plan -> whether a probe on it needs q-gram postings (bound > 0).
+    std::map<PlanId, bool> column_plans;
+    for (const FilterProbe& probe : filter_plan->probes) {
+      const PlanId plan = *store.FindPlan(
+          ValueStore::Side::kTarget,
+          ValueOperatorHash(*info.comparisons[probe.comparison].op->target()));
+      column_plans[plan] |= probe.bound > 0;
+    }
+    for (const auto& [plan, grams] : column_plans) {
+      const auto column = FilterColumn::Build(
+          n,
+          [&](size_t row, std::vector<std::string_view>& out) {
+            for (ValueId id : store.Values(ValueStore::Side::kTarget, plan, row)) {
+              out.push_back(store.View(id));
+            }
+          },
+          grams);
+      filter_dir.push_back({plan, filter_words.size(), column->words().size()});
+      filter_words.insert(filter_words.end(), column->words().begin(),
+                          column->words().end());
+    }
+  }
+
   if (strings.size() > UINT32_MAX) {
     return Status::InvalidArgument(
         "corpus artifact: string table exceeds 2^32 entries");
@@ -403,6 +494,8 @@ Status WriteCorpusArtifact(const std::string& path, const Dataset& target,
   sections[kPostingOffsets] = has_blocking ? PodView(posting_offsets)
                                            : std::string_view{};
   sections[kPostings] = PodView(postings);
+  sections[kFilterDirectory] = PodView(filter_dir);
+  sections[kFilterWords] = PodView(filter_words);
 
   uint64_t offset = sizeof(Header);
   for (size_t s = 0; s < kNumSections; ++s) {
@@ -432,7 +525,7 @@ Status WriteCorpusArtifact(const std::string& path, const Dataset& target,
   // The checksum covers the whole file — header first, with its own
   // payload_hash field still zero (exactly how readers re-hash it), so
   // a single flipped bit anywhere, header included, is detected.
-  StreamingHash64 checksum;
+  StreamingHash64 checksum(kVersion);
   checksum.Update(
       std::string_view(reinterpret_cast<const char*>(&header), sizeof(Header)));
   Status hashed = walk_payload([&](std::string_view bytes) {
@@ -475,6 +568,13 @@ Status TruncatedError(const std::string& path, const std::string& detail) {
 MappedCorpus::~MappedCorpus() = default;
 
 const BlockingIndex* MappedCorpus::blocking() const { return blocking_.get(); }
+
+const FilterColumn* MappedCorpus::filter_column(PlanId plan) const {
+  for (const auto& [column_plan, column] : filter_columns_) {
+    if (column_plan == plan) return column.get();
+  }
+  return nullptr;
+}
 
 std::span<const ValueId> MappedCorpus::Values(Side side, PlanId plan,
                                               size_t entity_index) const {
@@ -527,19 +627,41 @@ Result<std::shared_ptr<const MappedCorpus>> MappedCorpus::Load(
         InPath(path) + " is a v1 text rule artifact, not a v2 corpus "
         "artifact — run `genlink index` to build one");
   }
-  if (bytes.size() < sizeof(Header)) {
+  if (bytes.size() < sizeof(HeaderV2)) {
     return TruncatedError(path, std::to_string(bytes.size()) +
                                     " bytes cannot hold a v2 header (" +
-                                    std::to_string(sizeof(Header)) + " bytes)");
+                                    std::to_string(sizeof(HeaderV2)) + " bytes)");
   }
-  Header h;
-  std::memcpy(&h, bytes.data(), sizeof(Header));
-  if (std::memcmp(h.magic, kMagic, sizeof(kMagic)) != 0) {
+  // The v2 header is a prefix-compatible layout with two fewer sections:
+  // read it, then widen it to the v3 shape with empty filter sections.
+  HeaderV2 v2;
+  std::memcpy(&v2, bytes.data(), sizeof(HeaderV2));
+  if (std::memcmp(v2.magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::ParseError(InPath(path) +
                               " is not a corpus artifact (bad magic)");
   }
-  if (h.version != kVersion) {
-    if (h.version == __builtin_bswap32(kVersion)) {
+  Header h{};
+  if (v2.version == kVersion) {
+    if (bytes.size() < sizeof(Header)) {
+      return TruncatedError(path, std::to_string(bytes.size()) +
+                                      " bytes cannot hold a v3 header (" +
+                                      std::to_string(sizeof(Header)) +
+                                      " bytes)");
+    }
+    std::memcpy(&h, bytes.data(), sizeof(Header));
+  } else if (v2.version == kVersionV2) {
+    std::memcpy(&h, &v2, offsetof(HeaderV2, section_offset));
+    for (size_t s = 0; s < kNumSectionsV2; ++s) {
+      h.section_offset[s] = v2.section_offset[s];
+      h.section_bytes[s] = v2.section_bytes[s];
+    }
+    for (size_t s = kNumSectionsV2; s < kNumSections; ++s) {
+      h.section_offset[s] = sizeof(HeaderV2);
+      h.section_bytes[s] = 0;
+    }
+  } else {
+    if (v2.version == __builtin_bswap32(kVersion) ||
+        v2.version == __builtin_bswap32(kVersionV2)) {
       return Status::ParseError(
           "corpus artifact " + InPath(path) +
           " has a byte-swapped version: written on a different-endian "
@@ -547,11 +669,13 @@ Result<std::shared_ptr<const MappedCorpus>> MappedCorpus::Load(
     }
     return Status::ParseError("corpus artifact " + InPath(path) +
                               " has unsupported version " +
-                              std::to_string(h.version) +
-                              " (this build reads " + std::to_string(kVersion) +
-                              ")");
+                              std::to_string(v2.version) +
+                              " (this build reads " +
+                              std::to_string(kVersionV2) + " and " +
+                              std::to_string(kVersion) + ")");
   }
-  if (h.header_bytes != sizeof(Header)) {
+  if (h.header_bytes !=
+      (h.version == kVersion ? sizeof(Header) : sizeof(HeaderV2))) {
     return TruncatedError(path, "header size mismatch");
   }
   if (h.file_bytes != bytes.size()) {
@@ -582,7 +706,7 @@ Result<std::shared_ptr<const MappedCorpus>> MappedCorpus::Load(
   for (size_t s = 0; s < kNumSections; ++s) {
     const uint64_t off = h.section_offset[s];
     const uint64_t size = h.section_bytes[s];
-    if (off % 8 != 0 || off < sizeof(Header) || off > h.file_bytes ||
+    if (off % 8 != 0 || off < h.header_bytes || off > h.file_bytes ||
         size > h.file_bytes - off) {
       return TruncatedError(path, "section " + std::to_string(s) +
                                       " out of bounds");
@@ -604,6 +728,8 @@ Result<std::shared_ptr<const MappedCorpus>> MappedCorpus::Load(
       h.num_tokens * 4,                            // kTokenIds
       has_blocking ? (h.num_tokens + 1) * 8 : 0,   // kPostingOffsets
       h.num_postings * 4,                          // kPostings
+      h.section_bytes[kFilterDirectory],           // validated below
+      h.section_bytes[kFilterWords],               // validated below
   };
   for (size_t s = 0; s < kNumSections; ++s) {
     if (h.section_bytes[s] != expected[s]) {
@@ -615,16 +741,20 @@ Result<std::shared_ptr<const MappedCorpus>> MappedCorpus::Load(
       h.section_bytes[kPlanSortedIds] % 4 != 0) {
     return TruncatedError(path, "misaligned plan value tables");
   }
+  if (h.section_bytes[kFilterDirectory] % sizeof(FilterDirEntry) != 0 ||
+      h.section_bytes[kFilterWords] % 4 != 0) {
+    return TruncatedError(path, "misaligned filter tables");
+  }
 
   if (options.verify_checksum) {
     // Re-hash the header with its hash field zeroed (as the writer
     // hashed it), then the payload: every bit of the file is covered.
-    StreamingHash64 checksum;
-    Header unhashed = h;
-    unhashed.payload_hash = 0;
-    checksum.Update(std::string_view(
-        reinterpret_cast<const char*>(&unhashed), sizeof(Header)));
-    checksum.Update(bytes.substr(sizeof(Header)));
+    StreamingHash64 checksum(h.version);
+    std::string unhashed(bytes.substr(0, h.header_bytes));
+    std::memset(unhashed.data() + offsetof(Header, payload_hash), 0,
+                sizeof(h.payload_hash));
+    checksum.Update(unhashed);
+    checksum.Update(bytes.substr(h.header_bytes));
     if (checksum.Finish() != h.payload_hash) {
       return TruncatedError(path,
                             "checksum mismatch (bit flip or torn write)");
@@ -760,6 +890,28 @@ Result<std::shared_ptr<const MappedCorpus>> MappedCorpus::Load(
   }
   if (has_blocking) {
     corpus->blocking_ = std::make_unique<MappedBlockingIndex>(corpus.get());
+  }
+
+  // Filter columns: each validated in full by FromWords before use.
+  const auto* filter_dir = reinterpret_cast<const FilterDirEntry*>(
+      base + h.section_offset[kFilterDirectory]);
+  const std::span<const uint32_t> filter_words(
+      reinterpret_cast<const uint32_t*>(base + h.section_offset[kFilterWords]),
+      h.section_bytes[kFilterWords] / 4);
+  const size_t num_columns =
+      h.section_bytes[kFilterDirectory] / sizeof(FilterDirEntry);
+  for (size_t c = 0; c < num_columns; ++c) {
+    const FilterDirEntry& entry = filter_dir[c];
+    if (entry.plan >= h.num_plans || entry.word_begin > filter_words.size() ||
+        entry.word_count > filter_words.size() - entry.word_begin) {
+      return TruncatedError(path, "filter directory out of range");
+    }
+    auto column = FilterColumn::FromWords(
+        filter_words.subspan(entry.word_begin, entry.word_count),
+        h.num_entities);
+    if (!column.ok()) return TruncatedError(path, "corrupt filter column");
+    corpus->filter_columns_.emplace_back(static_cast<PlanId>(entry.plan),
+                                         std::move(column).value());
   }
   return std::shared_ptr<const MappedCorpus>(std::move(corpus));
 }

@@ -1,7 +1,9 @@
-// Corpus artifact v2: the precomputed serving corpus as one flat,
+// Corpus artifact v3: the precomputed serving corpus as one flat,
 // versioned, mmap-able binary file — string pool, per-entity value
-// spans, sorted token-id spans + counts, and token-blocking postings,
-// all offset-based and 8-byte-aligned — so a serving process
+// spans, sorted token-id spans + counts, token-blocking postings and
+// the filter columns of the indexed rule's filter plan
+// (matcher/rule_filter.h), all offset-based and 8-byte-aligned — so a
+// serving process
 // cold-starts in milliseconds (`genlink serve --index`) instead of
 // re-parsing CSV, re-running transform plans and re-interning strings,
 // and N processes mapping the same artifact share one page-cache copy.
@@ -29,6 +31,8 @@
 //                               query time)
 //   PostingOffsets u64[T+1]     token -> range in Postings
 //   Postings       u32[..]      entity indexes, ascending per token
+//   FilterDirectory {u64 plan, u64 word_begin, u64 word_count}[FC]  (v3)
+//   FilterWords    u32[..]      FilterColumn::words() back to back  (v3)
 //
 // The plan directory keys each plan by its cross-process-stable
 // structural hash (rule/rule_hash.h StableValueOperatorHash — the
@@ -46,7 +50,8 @@
 // reject any version they do not know (and name a byte-swapped
 // version, which means a different-endian writer). New fields must
 // bump the version; the header's section table means readers never
-// infer offsets.
+// infer offsets. A v2 file (14 sections, no filter columns) still
+// loads; a rule with a filter plan then builds its columns at load.
 //
 // Safety: Load() validates everything before handing out a view —
 // magic/version/size, per-section alignment and bounds, a whole-file
@@ -73,6 +78,7 @@
 #include "io/mmap_file.h"
 #include "matcher/blocking.h"
 #include "matcher/matcher.h"
+#include "matcher/rule_filter.h"
 #include "model/dataset.h"
 #include "rule/linkage_rule.h"
 
@@ -90,12 +96,13 @@ struct CorpusArtifactStats {
   uint64_t num_postings = 0;
 };
 
-/// Precomputes `target` for serving under `rule` and writes the v2
+/// Precomputes `target` for serving under `rule` and writes the v3
 /// artifact to `path` (crash-safe): compiles the rule's target-side
 /// value plans into a serving-shape value store, builds the blocking
 /// postings for the rule's target properties under the options'
-/// blocking knobs (skipped when options.use_blocking is false), and
-/// serializes both. Fails on an empty rule (there are no value plans
+/// blocking knobs and the filter columns of the rule's filter plan at
+/// options.threshold (both skipped when options.use_blocking is
+/// false), and serializes them. Fails on an empty rule (there are no value plans
 /// to persist). `pool` parallelizes plan evaluation.
 Status WriteCorpusArtifact(const std::string& path, const Dataset& target,
                            const LinkageRule& rule, const MatchOptions& options,
@@ -111,7 +118,7 @@ struct MappedCorpusOptions {
 
 class MappedBlockingIndex;
 
-/// A zero-copy view of a v2 corpus artifact: implements the value-store
+/// A zero-copy view of a corpus artifact: implements the value-store
 /// read interface (ValueReader, target side; the source side is empty,
 /// exactly like a serving-only build) and exposes the mapped blocking
 /// postings as a BlockingIndex. Immutable and safe for concurrent
@@ -165,6 +172,12 @@ class MappedCorpus final : public ValueReader {
   size_t blocking_max_tokens() const { return blocking_max_tokens_; }
   size_t blocking_min_token_df() const { return blocking_min_token_df_; }
 
+  /// The filter column (matcher/rule_filter.h) over target plan `plan`
+  /// the artifact carries (v3), or null: a v2 file, or a plan the
+  /// indexed rule's filter does not probe — MatcherIndex then builds
+  /// the column at load.
+  const FilterColumn* filter_column(PlanId plan) const;
+
   /// StableRuleHash of the rule the artifact was indexed for
   /// (provenance; serving any rule whose plans are present is allowed).
   uint64_t rule_hash() const { return rule_hash_; }
@@ -209,6 +222,8 @@ class MappedCorpus final : public ValueReader {
   Schema schema_;
   std::vector<std::string> blocking_properties_;
   std::unique_ptr<MappedBlockingIndex> blocking_;
+  std::vector<std::pair<PlanId, std::unique_ptr<const FilterColumn>>>
+      filter_columns_;
 };
 
 }  // namespace genlink

@@ -6,6 +6,7 @@
 
 #include "io/corpus_artifact.h"
 #include "matcher/blocking.h"
+#include "matcher/rule_filter.h"
 #include "rule/operators.h"
 
 namespace genlink {
@@ -14,6 +15,13 @@ namespace {
 double Elapsed(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
       .count();
+}
+
+/// True when `index` takes candidates from token postings, so delta
+/// entries need their token keys: blocking is on and the rule has no
+/// filter plan.
+bool UsesTokenPostings(const MatcherIndex& index) {
+  return index.options().use_blocking && index.filter_plan() == nullptr;
 }
 
 }  // namespace
@@ -37,15 +45,16 @@ struct LiveCorpus::RuleProgram {
 /// One published, immutable epoch: everything a query needs, reachable
 /// from a single atomic pointer load. All members are shared with (not
 /// copied from) the master state where immutability already holds —
-/// only the dead mask and the delta posting map are rebuilt per
-/// publish, so they can be read without any filtering or locking.
+/// only the dead mask and the delta candidate generator (the planned
+/// rule's filter, or token postings) are rebuilt per publish, so they
+/// can be read without any filtering or locking.
 /// Queries run on the base index with the snapshot as its overlay: the
 /// tombstones hide base slots and the live delta entries are scored as
 /// extra rows by the same query scorer.
 struct LiveCorpus::Snapshot : QueryOverlay {
   const uint8_t* Tombstones() const override { return base_dead->data(); }
-  std::vector<size_t> Candidates(const Entity& entity,
-                                 const Schema& schema) const override;
+  std::vector<size_t> Candidates(const Entity& entity, const Schema& schema,
+                                 const QueryViews& query) const override;
   std::string_view Id(size_t row) const override {
     return delta.entry(row).entity.id();
   }
@@ -66,18 +75,24 @@ struct LiveCorpus::Snapshot : QueryOverlay {
   /// when blocking is off. Dead entries are filtered at publish, never
   /// at query time.
   std::shared_ptr<const std::vector<uint32_t>> delta_live;
+  /// The base index's filter plan over the live delta slots (dead slots
+  /// hold no values); null when the base index has no plan.
+  std::shared_ptr<const FilterIndex> filter;
   /// token -> live delta slots, rebuilt per publish from the entries'
-  /// stored keys; null when blocking is off. Probed by key only —
-  /// iteration order never reaches output.
+  /// stored keys; null when blocking is off or `filter` is set. Probed
+  /// by key only — iteration order never reaches output.
   std::shared_ptr<const std::unordered_map<std::string, std::vector<uint32_t>>>
       postings;
 };
 
 std::vector<size_t> LiveCorpus::Snapshot::Candidates(
-    const Entity& entity, const Schema& schema) const {
-  // Probe the delta postings exactly as the base index probes its own
-  // (ProbeCandidates), or scan every live entry when blocking is off.
-  // Sorted either way, so enumeration order can never reach the output.
+    const Entity& entity, const Schema& schema,
+    const QueryViews& query) const {
+  // Probe the delta exactly as the base index probes its own corpus —
+  // the rule's filter, or the token postings (ProbeCandidates) — or scan
+  // every live entry when blocking is off. Sorted either way, so
+  // enumeration order can never reach the output.
+  if (filter != nullptr) return filter->Candidates(query);
   if (postings == nullptr) {
     return std::vector<size_t>(delta_live->begin(), delta_live->end());
   }
@@ -203,13 +218,13 @@ Result<Entity> LiveCorpus::RemapEntity(const Entity& entity,
 
 DeltaEntry LiveCorpus::BuildDeltaEntry(Entity entity,
                                        const RuleProgram& program,
-                                       bool use_blocking) const {
+                                       bool token_keys) const {
   DeltaEntry entry;
   entry.site_values.resize(program.sites.size());
   for (size_t k = 0; k < program.sites.size(); ++k) {
     entry.site_values[k] = program.sites[k]->target()->Evaluate(entity, schema_);
   }
-  if (use_blocking) {
+  if (token_keys) {
     entry.tokens =
         EntityBlockingKeys(entity, schema_, program.blocking_properties);
   }
@@ -277,9 +292,8 @@ Status LiveCorpus::ApplyBatchLocked(std::span<const LiveOp> ops,
     if (op.kind == LiveOp::Kind::kUpsert) {
       const bool replaces = locations_.find(op.id) != locations_.end();
       KillLocked(op.id);
-      DeltaEntry entry =
-          BuildDeltaEntry(std::move(op.entity), *program_,
-                          base_index_->options().use_blocking);
+      DeltaEntry entry = BuildDeltaEntry(std::move(op.entity), *program_,
+                                         UsesTokenPostings(*base_index_));
       delta_bytes_ += entry.approx_bytes;
       const size_t slot = delta_.Append(std::move(entry));
       delta_dead_.push_back(0);
@@ -430,7 +444,7 @@ Status LiveCorpus::DeployRule(const LinkageRule& rule,
   for (size_t slot = 0; slot < delta_.size(); ++slot) {
     if (delta_dead_[slot] != 0) continue;
     DeltaEntry entry = BuildDeltaEntry(Entity(delta_.entry(slot).entity),
-                                       *program, next.use_blocking);
+                                       *program, UsesTokenPostings(**built));
     fresh_bytes += entry.approx_bytes;
     const size_t fresh_slot = fresh.Append(std::move(entry));
     fresh_dead.push_back(0);
@@ -458,7 +472,25 @@ void LiveCorpus::PublishLocked() {
   for (size_t slot = 0; slot < snap->delta.count; ++slot) {
     if (delta_dead_[slot] == 0) live->push_back(static_cast<uint32_t>(slot));
   }
-  if (base_index_->options().use_blocking) {
+  if (const FilterPlan* plan = base_index_->filter_plan()) {
+    // One column per probe over the delta rows (dead rows contribute no
+    // values), with q-gram postings when the probe's bound is above 0.
+    std::vector<std::shared_ptr<const FilterColumn>> columns;
+    for (const FilterProbe& probe : plan->probes) {
+      columns.push_back(FilterColumn::Build(
+          snap->delta.count,
+          [&](size_t row, std::vector<std::string_view>& out) {
+            if (delta_dead_[row] != 0) return;
+            for (const std::string& value :
+                 snap->delta.entry(row).site_values[probe.comparison]) {
+              out.push_back(value);
+            }
+          },
+          probe.bound > 0));
+    }
+    snap->filter = std::make_shared<const FilterIndex>(*plan, std::move(columns),
+                                                       snap->delta.count);
+  } else if (base_index_->options().use_blocking) {
     auto postings = std::make_shared<
         std::unordered_map<std::string, std::vector<uint32_t>>>();
     for (uint32_t slot : *live) {

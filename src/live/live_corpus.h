@@ -6,10 +6,11 @@
 // corpus mutable without giving up the immutable index underneath:
 //
 //   base  — an ordinary MatcherIndex over the last compacted corpus
-//           (dataset-backed, or a zero-copy mapped v2 artifact);
+//           (dataset-backed, or a zero-copy mapped corpus artifact);
 //   delta — an append-only log of upserted entities (live/delta_store.h),
-//           each pre-evaluated for the deployed rule and indexed in
-//           delta blocking postings;
+//           each pre-evaluated for the deployed rule and indexed by the
+//           rule's filter plan (matcher/rule_filter.h) or, for a rule
+//           without one, by delta token postings;
 //   tombstones — a per-slot dead mask over the base corpus (removed or
 //           superseded entities) plus dead marks on overwritten delta
 //           entries.
@@ -33,15 +34,17 @@
 //     so delta entities are scored by the base index's own query scorer,
 //     over the same value multisets in the same evaluation order, and
 //     threshold, ordering and best-match reduction see the merged links;
-//   * candidate sets are corpus-independent ONLY for the df-independent
-//     blocking configuration (index every token: blocking_max_tokens
-//     == 0, blocking_min_token_df <= 1). Weighted key selection ranks
+//   * candidate sets are corpus-independent: a filter plan is lossless
+//     and reads no corpus statistic, and token blocking is
+//     corpus-independent ONLY for the df-independent configuration
+//     (index every token: blocking_max_tokens == 0,
+//     blocking_min_token_df <= 1). Weighted key selection ranks
 //     tokens by corpus-wide document frequency, which shifts with every
 //     mutation, so Create/DeployRule refuse those knobs with a named
 //     error rather than serving near-identical links.
 //
 // Compaction rewrites base ⊎ delta − tombstones into a fresh owned
-// corpus (and optionally a v2 corpus artifact via the crash-safe
+// corpus (and optionally a corpus artifact via the crash-safe
 // AtomicFileWriter path) while the previous snapshot keeps serving;
 // the new base index is built off to the side and published as the
 // next epoch. An interrupted artifact write (io.write_error failpoint)
@@ -138,7 +141,7 @@ class LiveCorpus {
       const MatchOptions& options = {},
       const LiveCorpusOptions& live_options = {});
 
-  /// Live layer over a zero-copy mapped v2 corpus artifact: upserts and
+  /// Live layer over a zero-copy mapped corpus artifact: upserts and
   /// removes work (the delta side evaluates its own values), queries
   /// stay bit-identical, but Compact/CompactTo fail — the artifact
   /// stores transformed value spans, not raw property values, so the
@@ -178,7 +181,7 @@ class LiveCorpus {
   /// published epoch. FailedPrecondition over a mapped-corpus base.
   Status Compact();
 
-  /// Compact, additionally persisting the compacted corpus as a v2
+  /// Compact, additionally persisting the compacted corpus as a corpus
   /// artifact at `artifact_path` (crash-safe: same-dir temp + fsync +
   /// rename via io/atomic_write.h). On a write failure the previous
   /// snapshot keeps serving, no live state changes, and no temp file
@@ -263,9 +266,10 @@ class LiveCorpus {
   Result<Entity> RemapEntity(const Entity& entity, const Schema& schema) const;
 
   /// Evaluates `entity` (already under the corpus schema) for the
-  /// program's comparison sites and blocking keys.
+  /// program's comparison sites and, with `token_keys`, its token
+  /// blocking keys.
   DeltaEntry BuildDeltaEntry(Entity entity, const RuleProgram& program,
-                             bool use_blocking) const;
+                             bool token_keys) const;
 
   Status ApplyBatchLocked(std::span<const LiveOp> ops, const Schema& schema)
       GENLINK_REQUIRES(mutex_);

@@ -110,36 +110,6 @@ std::vector<std::vector<std::string>> ComputeEntityKeys(
   return keys;
 }
 
-/// Thread-local epoch-stamped membership scratch for candidate
-/// deduplication: candidate sets run to hundreds of entries per query
-/// (one per shared token) and the probe sits inside the matcher's
-/// per-source-entity loop, so a hash set per call would dominate.
-/// Thread-local so concurrent queries — from the matcher pool or
-/// external callers — never share it; the epoch bump makes clearing
-/// O(1). Shared by every index on a thread: each probe bumps the epoch,
-/// so stale stamps from an earlier probe can never collide within a
-/// call. tests/blocking_concurrency_test.cc exercises this under TSan.
-struct StampScratch {
-  std::vector<uint32_t> stamp;
-  uint32_t epoch = 0;
-
-  /// Starts a new deduplication round over entity indexes [0, n).
-  void Begin(size_t n) {
-    if (stamp.size() < n) stamp.resize(n, 0);
-    if (++epoch == 0) {  // wrapped: all stamps are stale but may collide
-      std::fill(stamp.begin(), stamp.end(), 0);
-      epoch = 1;
-    }
-  }
-
-  /// True the first time `j` is seen this round.
-  bool Insert(size_t j) {
-    if (stamp[j] == epoch) return false;
-    stamp[j] = epoch;
-    return true;
-  }
-};
-
 }  // namespace
 
 std::vector<std::vector<std::string>> ComputeBlockingKeys(

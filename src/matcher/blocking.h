@@ -1,9 +1,17 @@
 // Token-based blocking: indexes target entities by the lowercased tokens
 // of the properties a rule compares, so that rule execution over two
 // datasets evaluates only candidate pairs that share at least one token
-// instead of the full cross product. (The paper defers efficient
-// execution to [19]; this index is this library's implementation of that
-// substrate.)
+// instead of the full cross product.
+//
+// Token blocking serves only the rules WITHOUT a filter plan. A rule
+// whose comparisons admit one (matcher/rule_filter.h: equality and
+// Levenshtein comparisons under min/max/wmean) takes its candidates from
+// the plan instead — the paper's [19], an index derived from the rule
+// that loses no link. Token blocking indexes RAW tokens, so it can drop
+// pairs the rule links: a transform that joins tokens (removeDashes on
+// "312-212-4423") hides a true match ("3122124423") from it. Its recall
+// is only checked on data (tests/blocking_soundness_test.cc,
+// tests/blocking_scale_test.cc).
 //
 // Two implementations share the BlockingIndex interface:
 //   * TokenBlockingIndex — one in-memory postings map, built from a
@@ -22,6 +30,7 @@
 #ifndef GENLINK_MATCHER_BLOCKING_H_
 #define GENLINK_MATCHER_BLOCKING_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -66,6 +75,35 @@ class BlockingIndex {
   virtual size_t NumTokens() const = 0;
   /// Number of (token, entity) postings.
   virtual size_t NumPostings() const = 0;
+};
+
+/// Epoch-stamped membership scratch for candidate deduplication:
+/// candidate sets run to hundreds of entries per query and the probe
+/// sits inside the matcher's per-source-entity loop, so a hash set per
+/// call would dominate. Callers hold it thread_local, so concurrent
+/// queries — from the matcher pool or external callers — never share
+/// it; the epoch bump makes clearing O(1), and stale stamps from an
+/// earlier round can never collide within a round.
+/// tests/blocking_concurrency_test.cc exercises this under TSan.
+struct StampScratch {
+  std::vector<uint32_t> stamp;
+  uint32_t epoch = 0;
+
+  /// Starts a new deduplication round over indexes [0, n).
+  void Begin(size_t n) {
+    if (stamp.size() < n) stamp.resize(n, 0);
+    if (++epoch == 0) {  // wrapped: all stamps are stale but may collide
+      std::fill(stamp.begin(), stamp.end(), 0);
+      epoch = 1;
+    }
+  }
+
+  /// True the first time `j` is seen this round.
+  bool Insert(size_t j) {
+    if (stamp[j] == epoch) return false;
+    stamp[j] = epoch;
+    return true;
+  }
 };
 
 /// The postings of one query token: the indexes of the entities indexed

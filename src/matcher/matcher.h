@@ -1,6 +1,7 @@
 // Rule execution over whole datasets: generates the set of links
-// M_l = {(a,b) : l(a,b) >= 0.5} (Definition 3 of the paper), using token
-// blocking or the exhaustive cross product. Every link is scored through
+// M_l = {(a,b) : l(a,b) >= 0.5} (Definition 3 of the paper), using
+// blocking (the rule's filter plan, else token blocking) or the
+// exhaustive cross product. Every link is scored through
 // a value store (eval/value_store.h): transformations run once per
 // entity instead of once per candidate pair, and distances run over
 // interned values, bit-identical to LinkageRule::Evaluate on the same
@@ -38,8 +39,11 @@ struct GeneratedLink {
 
 /// Options for link generation.
 struct MatchOptions {
-  /// Use the token blocking index (recommended); exhaustive cross
-  /// product otherwise.
+  /// Block (recommended); exhaustive cross product otherwise. A rule
+  /// with a filter plan (matcher/rule_filter.h) takes its candidates
+  /// from the plan, which loses no link; any other rule takes them from
+  /// the token blocking index. The token knobs below only apply to
+  /// rules without a filter plan.
   bool use_blocking = true;
   /// Minimum similarity for a link to be emitted.
   double threshold = 0.5;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 #include <string>
 #include <utility>
@@ -14,6 +16,7 @@
 #include "datasets/restaurant.h"
 #include "distance/string_distances.h"
 #include "matcher/matcher.h"
+#include "matcher/rule_filter.h"
 #include "rule/builder.h"
 
 namespace genlink {
@@ -180,6 +183,252 @@ TEST(LevenshteinPrefilterTest, FuzzBoundedDistanceStaysBitIdentical) {
       }
     }
   }
+}
+
+// Past the bound the measure returns exactly floor(bound)+1 on both
+// kernel paths (Myers up to 64 characters, the banded program beyond),
+// and 1 for a negative bound, which admits no distance: 0 would read as
+// an exact match to ThresholdedScore.
+TEST(LevenshteinPrefilterTest, BeyondTheBoundIsFloorPlusOne) {
+  Rng rng(4242);
+  LevenshteinDistance measure;
+  const double bounds[] = {-0.5, 0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 7.5};
+  for (int iter = 0; iter < 4000; ++iter) {
+    const size_t length = iter % 2 == 0 ? 1 + rng.PickIndex(14)
+                                        : 60 + rng.PickIndex(30);
+    std::string a = RandomWord(length, rng);
+    std::string b = rng.Bernoulli(0.5)
+                        ? InjectTypos(a, 1 + rng.PickIndex(6), rng)
+                        : RandomWord(length + rng.PickIndex(3), rng);
+    const double distance =
+        static_cast<double>(LevenshteinEditDistanceReference(a, b));
+    for (const double bound : bounds) {
+      const double bounded = measure.BoundedValueDistance(a, b, bound);
+      if (distance <= bound) {
+        EXPECT_EQ(bounded, distance) << a << " / " << b << " bound " << bound;
+      } else if (bound < static_cast<double>(std::max(a.size(), b.size()))) {
+        EXPECT_EQ(bounded, std::floor(std::max(bound, 0.0)) + 1.0)
+            << a << " / " << b << " bound " << bound;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Rule-derived blocking (matcher/rule_filter.h). The filters are
+// necessary conditions: a target value within edit distance k of the
+// query must always come back from FilterColumn::Probe.
+
+/// A small alphabet keeps many random pairs within a few edits.
+std::string NearWord(size_t length, Rng& rng) {
+  std::string word;
+  for (size_t i = 0; i < length; ++i) {
+    word.push_back(static_cast<char>('a' + rng.PickIndex(4)));
+  }
+  return word;
+}
+
+TEST(RuleFilterSoundnessTest, FuzzLengthAndQGramFiltersNeverDropAValue) {
+  Rng rng(20261020);
+  for (int round = 0; round < 30; ++round) {
+    // Target rows of zero to two values, lengths 0..12 so the
+    // length-bucket scan (count bound <= 0) and the count filter both
+    // run; a few values repeat across rows.
+    const size_t rows = 40 + rng.PickIndex(40);
+    std::vector<std::vector<std::string>> values(rows);
+    for (auto& row : values) {
+      const size_t count = rng.PickIndex(3);
+      for (size_t i = 0; i < count; ++i) {
+        row.push_back(rng.Bernoulli(0.1) && !values[0].empty()
+                          ? values[0][0]
+                          : NearWord(rng.PickIndex(13), rng));
+      }
+    }
+    const auto column = FilterColumn::Build(
+        rows,
+        [&](size_t row, std::vector<std::string_view>& out) {
+          for (const std::string& value : values[row]) out.push_back(value);
+        },
+        /*grams=*/round % 5 != 4);
+    // Every fifth round indexes no q-grams: a probe with a bound then
+    // admits its whole length window. The serialized words map back to
+    // an equivalent column.
+    auto mapped = FilterColumn::FromWords(column->words(), rows);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+    for (int query_index = 0; query_index < 25; ++query_index) {
+      const std::string query =
+          rng.Bernoulli(0.5) && !values[query_index % rows].empty()
+              ? InjectTypos(values[query_index % rows][0], rng.PickIndex(3), rng)
+              : NearWord(rng.PickIndex(13), rng);
+      for (int bound = 0; bound <= 4; ++bound) {
+        for (const FilterColumn* probed : {column.get(), mapped->get()}) {
+          std::set<uint32_t> admitted;
+          probed->Probe(query, bound,
+                        [&](uint32_t row) { admitted.insert(row); });
+          for (size_t row = 0; row < rows; ++row) {
+            for (const std::string& value : values[row]) {
+              if (LevenshteinEditDistanceReference(query, value) <= bound) {
+                EXPECT_TRUE(admitted.count(static_cast<uint32_t>(row)))
+                    << "k=" << bound << " dropped \"" << value
+                    << "\" for query \"" << query << "\"";
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RuleFilterSoundnessTest, CorruptColumnWordsAreRejected) {
+  const std::vector<std::string> values = {"alpha", "beta", "gamma", "al"};
+  const auto column = FilterColumn::Build(
+      values.size(),
+      [&](size_t row, std::vector<std::string_view>& out) {
+        out.push_back(values[row]);
+      },
+      /*grams=*/true);
+  const std::span<const uint32_t> words = column->words();
+  // Every truncation fails; rows must be below the declared row count.
+  for (size_t size = 0; size < words.size(); ++size) {
+    EXPECT_FALSE(FilterColumn::FromWords(words.subspan(0, size), values.size()).ok());
+  }
+  EXPECT_FALSE(FilterColumn::FromWords(words, values.size() - 1).ok());
+  EXPECT_TRUE(FilterColumn::FromWords(words, values.size()).ok());
+  // A corrupted word either fails validation or leaves a column whose
+  // probes stay in bounds (the sanitizer builds check the reads) and
+  // emit only declared rows.
+  for (size_t at = 0; at < words.size(); ++at) {
+    for (const uint32_t flip : {1u, 0x80u, 0x10000u, 0xFFFFFFFFu}) {
+      std::vector<uint32_t> corrupted(words.begin(), words.end());
+      corrupted[at] ^= flip;
+      auto column = FilterColumn::FromWords(corrupted, values.size());
+      if (!column.ok()) continue;
+      for (const std::string query : {"alpha", "gamm", "", "zzzzzzzz"}) {
+        for (int bound = 0; bound <= 2; ++bound) {
+          (*column)->Probe(query, bound, [&](uint32_t row) {
+            EXPECT_LT(row, values.size());
+          });
+        }
+      }
+    }
+  }
+}
+
+// The bound of a comparison comes from the exact double predicate
+// ThresholdedScore(d, θ) >= t. These (θ, t) pairs put θ(1-t) at an
+// integer in exact arithmetic, and rounding moves the double product to
+// the other side: floor(θ * (1 - t)) would be one too small (losing the
+// links at that distance) or one too large.
+TEST(RuleFilterSoundnessTest, BoundDerivationUsesTheExactPredicate) {
+  struct Case {
+    double theta;
+    double t;
+    int bound;
+  };
+  const Case cases[] = {
+      {5.0, 0.8, 1},              // 5 * (1 - 0.8) = 0.99999999999999978
+      {5.0, 0.2, 3},              // 5 * (1 - 0.2) = 4, but 1 - 4/5 < 0.2
+      {2.5, 0.2, 1},              // 2.5 * 0.8 = 2, but 1 - 2/2.5 < 0.2
+      {3.0, 1.0 - 1.0 / 3.0, 1},  // 3 * (1 - t) rounds below 1
+      {1.9, 1.0 - 1.0 / 1.9, 1},
+      {3.8, 1.0 - 2.0 / 3.8, 2},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(MaxPassingDistance(c.theta, c.t, kMaxFilterBound), c.bound)
+        << "theta " << c.theta << " t " << c.t;
+    EXPECT_NE(static_cast<int>(std::floor(c.theta * (1.0 - c.t))), c.bound)
+        << "theta " << c.theta << " t " << c.t
+        << " is not a rounding case";
+  }
+  // Brute force over a grid, k in 0..4 and beyond: the derived bound is
+  // exactly the largest passing distance.
+  for (int theta10 = 0; theta10 <= 80; ++theta10) {
+    const double theta = theta10 / 10.0;
+    for (int j = 0; j <= 8; ++j) {
+      for (const double t : {0.1, 0.25, 0.5, 0.8, theta > 0 ? 1.0 - j / theta : 0.5}) {
+        if (!(t > 0.0)) continue;
+        int expected = -1;
+        while (expected + 1 <= kMaxFilterBound &&
+               ThresholdedScore(expected + 1, theta) >= t) {
+          ++expected;
+        }
+        const std::optional<int> derived =
+            MaxPassingDistance(theta, t, kMaxFilterBound);
+        if (ThresholdedScore(kMaxFilterBound + 1, theta) >= t) {
+          EXPECT_FALSE(derived.has_value());
+        } else {
+          ASSERT_TRUE(derived.has_value());
+          EXPECT_EQ(*derived, expected) << "theta " << theta << " t " << t;
+        }
+      }
+    }
+  }
+}
+
+TEST(RuleFilterSoundnessTest, PlanShapes) {
+  // max / wmean: the union; min: one operand, exact first.
+  auto max_rule = RuleBuilder()
+                      .Aggregate("max")
+                      .Compare("levenshtein", 1.0, Prop("phone"), Prop("phone"))
+                      .Aggregate("min")
+                      .Compare("levenshtein", 4.0, Prop("name"), Prop("name"))
+                      .Compare("levenshtein", 8.0, Prop("phone"), Prop("phone"))
+                      .End()
+                      .End()
+                      .Build();
+  ASSERT_TRUE(max_rule.ok());
+  auto plan = DeriveFilterPlan(*max_rule, 0.5);
+  ASSERT_TRUE(plan.has_value());
+  ASSERT_EQ(plan->probes.size(), 2u);
+  EXPECT_EQ(plan->probes[0].comparison, 0u);
+  EXPECT_EQ(plan->probes[0].bound, 0);
+  EXPECT_EQ(plan->probes[1].comparison, 1u);  // the name, bound 2 < 4
+  EXPECT_EQ(plan->probes[1].bound, 2);
+
+  auto min_exact = RuleBuilder()
+                       .Aggregate("min")
+                       .Compare("levenshtein", 2.0, Prop("name"), Prop("name"))
+                       .Compare("equality", 0.0, Prop("phone"), Prop("phone"))
+                       .End()
+                       .Build();
+  ASSERT_TRUE(min_exact.ok());
+  plan = DeriveFilterPlan(*min_exact, 0.5);
+  ASSERT_TRUE(plan.has_value());
+  ASSERT_EQ(plan->probes.size(), 1u);
+  EXPECT_EQ(plan->probes[0].comparison, 1u);
+
+  // A union member without a filter, a zero weight, t <= 0: no plan.
+  auto with_jaccard = RuleBuilder()
+                          .Aggregate("max")
+                          .Compare("levenshtein", 2.0, Prop("name"), Prop("name"))
+                          .Compare("jaccard", 0.5, Prop("name").Tokenize(),
+                                   Prop("name").Tokenize())
+                          .End()
+                          .Build();
+  ASSERT_TRUE(with_jaccard.ok());
+  EXPECT_FALSE(DeriveFilterPlan(*with_jaccard, 0.5).has_value());
+  auto single =
+      RuleBuilder().Compare("levenshtein", 2.0, Prop("name"), Prop("name")).Build();
+  ASSERT_TRUE(single.ok());
+  EXPECT_FALSE(DeriveFilterPlan(*single, 0.0).has_value());
+  ASSERT_TRUE(DeriveFilterPlan(*single, 0.5).has_value());
+  auto zero_weight = RuleBuilder()
+                         .Aggregate("wmean")
+                         .Compare("levenshtein", 2.0, Prop("name"), Prop("name"))
+                         .Compare("levenshtein", 2.0, Prop("city"), Prop("city"))
+                         .End()
+                         .Build();
+  ASSERT_TRUE(zero_weight.ok());
+  EXPECT_TRUE(DeriveFilterPlan(*zero_weight, 0.5).has_value());
+  CollectComparisons(*zero_weight)[0]->set_weight(0.0);
+  EXPECT_FALSE(DeriveFilterPlan(*zero_weight, 0.5).has_value());
+  // A comparison that can never reach t leaves an empty plan (no
+  // candidates) rather than no plan.
+  plan = DeriveFilterPlan(*single, 1.5);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_TRUE(plan->probes.empty());
 }
 
 }  // namespace

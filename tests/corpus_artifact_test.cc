@@ -40,6 +40,23 @@ LinkageRule RestaurantRule() {
   return std::move(rule).value();
 }
 
+// RestaurantRule's two comparisons under a weighted mean: the same
+// value plans and target properties, but the jaccard operand has no
+// filter, so the rule has no filter plan and takes token blocking.
+LinkageRule UnplannedRestaurantRule() {
+  auto rule = RuleBuilder()
+                  .Aggregate("wmean")
+                  .Compare("jaccard", 0.8, Prop("name").Lower().Tokenize(),
+                           Prop("name").Lower().Tokenize())
+                  .Compare("levenshtein", 3.0, Prop("address").Lower(),
+                           Prop("address").Lower())
+                  .End()
+                  .Build();
+  EXPECT_TRUE(rule.ok());
+  EXPECT_FALSE(DeriveFilterPlan(*rule, 0.5).has_value());
+  return std::move(rule).value();
+}
+
 LinkageRule CoraRule() {
   auto rule = RuleBuilder()
                   .Aggregate("min")
@@ -251,13 +268,26 @@ TEST_F(MappedServingTest, MissingPlanIsNamedFailedPrecondition) {
   EXPECT_NE(built.status().message().find("genlink index"), std::string::npos);
 }
 
+// The token knobs only apply to a rule without a filter plan: such a
+// rule refuses knobs the artifact was not indexed with, while a planned
+// rule serves under any knobs, identically to a fresh build.
 TEST_F(MappedServingTest, BlockingKnobMismatchIsNamedFailedPrecondition) {
   MatchOptions mismatched = options_;
   mismatched.blocking_max_tokens = 7;
-  auto built = MatcherIndex::Build(mapped_, RestaurantRule(), mismatched);
+  auto built =
+      MatcherIndex::Build(mapped_, UnplannedRestaurantRule(), mismatched);
   ASSERT_FALSE(built.ok());
   EXPECT_EQ(built.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(built.status().message().find(path_), std::string::npos);
+
+  auto planned = MatcherIndex::Build(mapped_, RestaurantRule(), mismatched);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  ASSERT_NE((*planned)->filter_plan(), nullptr);
+  ExpectSameLinks(
+      (*planned)->MatchBatch(task_.a.entities(), task_.a.schema()),
+      MatcherIndex::Build(task_.a, RestaurantRule(), mismatched)
+          ->MatchBatch(task_.a.entities(), task_.a.schema()),
+      "planned rule under other knobs");
 }
 
 TEST_F(MappedServingTest, EmptyRuleAndNullCorpusRejected) {
@@ -333,9 +363,19 @@ TEST_F(MappedServingTest, NoBlockingArtifactRefusesBlockingOptions) {
   ASSERT_TRUE(mapped.ok());
   EXPECT_FALSE((*mapped)->has_blocking());
   EXPECT_TRUE(MatcherIndex::Build(*mapped, RestaurantRule(), no_blocking).ok());
-  auto with_blocking = MatcherIndex::Build(*mapped, RestaurantRule(), options_);
+  auto with_blocking =
+      MatcherIndex::Build(*mapped, UnplannedRestaurantRule(), options_);
   ASSERT_FALSE(with_blocking.ok());
   EXPECT_EQ(with_blocking.status().code(), StatusCode::kFailedPrecondition);
+  // A planned rule needs no token postings: the artifact carries no
+  // filter column either, so the index builds it at load.
+  auto planned = MatcherIndex::Build(*mapped, RestaurantRule(), options_);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  ExpectSameLinks(
+      (*planned)->MatchBatch(task_.a.entities(), task_.a.schema()),
+      MatcherIndex::Build(task_.a, RestaurantRule(), options_)
+          ->MatchBatch(task_.a.entities(), task_.a.schema()),
+      "planned rule over an artifact without blocking");
   std::remove(path.c_str());
 }
 

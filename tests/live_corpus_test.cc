@@ -351,6 +351,60 @@ TEST(LiveCorpusTest, BestMatchTiesAcrossBaseAndDeltaPickTheSmallerId) {
   }
 }
 
+// A transform that joins tokens hides a true match from raw-token
+// blocking: the delta's "312-212-4423" and the query's "3122124423"
+// share no token, though the rule's removeDashes makes them equal. The
+// rule's filter plan probes the transformed values, so the live corpus
+// finds the link, exactly as a fresh build over the logical corpus.
+TEST(LiveCorpusTest, FilterFindsTheLinkRawTokensMiss) {
+  auto built = RuleBuilder()
+                   .Compare("levenshtein", 1.0,
+                            Prop("phone").Transform("removeDashes"),
+                            Prop("phone").Transform("removeDashes"))
+                   .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const LinkageRule rule = std::move(built).value();
+  ASSERT_TRUE(DeriveFilterPlan(rule, 0.5).has_value());
+
+  Dataset base("phones");
+  base.schema().AddProperty("name");
+  base.schema().AddProperty("phone");
+  const Schema& schema = base.schema();
+  const PropertyId phone = *schema.FindProperty("phone");
+  auto record = [&](const std::string& id, const std::string& number) {
+    Entity out(id);
+    out.SetValues(*schema.FindProperty("name"), {"someone " + id});
+    out.SetValues(phone, {number});
+    return out;
+  };
+  ASSERT_TRUE(base.AddEntity(record("b0", "555-000-1111")).ok());
+  ASSERT_TRUE(base.AddEntity(record("b1", "9998887777")).ok());
+  MatchOptions options;
+  options.num_threads = 2;
+  auto live = LiveCorpus::Create(base, rule, options);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  const Entity delta = record("d0", "312-212-4423");
+  ASSERT_TRUE((*live)->Upsert(delta, schema).ok());
+
+  const Entity query = record("q0", "3122124423");
+  const std::vector<std::string> query_tokens =
+      EntityBlockingKeys(query, schema, {"phone"});
+  for (const std::string& token : EntityBlockingKeys(delta, schema, {"phone"})) {
+    EXPECT_EQ(std::count(query_tokens.begin(), query_tokens.end(), token), 0)
+        << "the raw phone tokens must not overlap";
+  }
+  const std::vector<GeneratedLink> got = (*live)->MatchEntity(query, schema);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].id_b, "d0");
+  EXPECT_EQ(got[0].score, 1.0);
+  auto logical = (*live)->MaterializeLogical();
+  ASSERT_TRUE(logical.ok()) << logical.status().ToString();
+  ExpectSameLinks(got,
+                  MatcherIndex::Build(*logical, rule, options)
+                      ->MatchEntity(query, logical->schema()),
+                  "fresh build over the logical corpus");
+}
+
 TEST(LiveCorpusTest, BlockingOffStillBitIdentical) {
   const MatchingTask task = GenerateRestaurant({.num_entities = 120});
   const LinkageRule rule = RestaurantRule();

@@ -3,7 +3,10 @@
 // Every candidate pair is scored by LinkageRule::Evaluate, the paper's
 // operator-tree semantics, and the documented link-selection rules
 // (threshold, self-join dedup, own-id skip, best-match tie-break,
-// output order) are applied by hand. Blocking candidates come from
+// output order) are applied by hand. A rule with a filter plan
+// (matcher/rule_filter.h) is scored over the whole cross join: its
+// blocking must lose no link, so the blocked surfaces must equal the
+// unblocked join. Any other rule takes its blocking candidates from
 // intersecting token sets (ComputeBlockingKeys / EntityBlockingKeys),
 // not from probing a BlockingIndex. The value-store scorers behind
 // GenerateLinks and MatcherIndex must reproduce these links bit for
@@ -21,6 +24,7 @@
 
 #include "matcher/blocking.h"
 #include "matcher/matcher.h"
+#include "matcher/rule_filter.h"
 
 namespace genlink {
 
@@ -30,8 +34,12 @@ class ReferenceMatcher {
  public:
   ReferenceMatcher(const LinkageRule& rule, const Dataset& target,
                    const MatchOptions& options)
-      : rule_(rule), target_(target), options_(options) {
-    if (options.use_blocking) {
+      : rule_(rule),
+        target_(target),
+        options_(options),
+        token_blocking_(options.use_blocking &&
+                        !DeriveFilterPlan(rule, options.threshold).has_value()) {
+    if (token_blocking_) {
       TokenBlockingOptions blocking;
       blocking.max_tokens_per_entity = options.blocking_max_tokens;
       blocking.min_token_df = options.blocking_min_token_df;
@@ -40,11 +48,11 @@ class ReferenceMatcher {
   }
 
   /// Target indexes sharing a blocking key with `query` (every index
-  /// when blocking is off), ascending.
+  /// when blocking is off or the rule has a filter plan), ascending.
   std::vector<size_t> Candidates(const Entity& query,
                                  const Schema& schema) const {
     std::vector<size_t> out;
-    if (!options_.use_blocking) {
+    if (!token_blocking_) {
       for (size_t j = 0; j < target_.size(); ++j) out.push_back(j);
       return out;
     }
@@ -126,6 +134,8 @@ class ReferenceMatcher {
   const LinkageRule& rule_;
   const Dataset& target_;
   const MatchOptions& options_;
+  /// Blocking on and no filter plan: candidates share a raw token.
+  const bool token_blocking_;
   std::vector<std::vector<std::string>> keys_;
 };
 

@@ -12,9 +12,17 @@
 // cycling through every registered distance measure. Thresholds and
 // best-match mode vary per rule, and every fourth rule runs without
 // blocking.
+//
+// Rules with a filter plan (matcher/rule_filter.h) are checked against
+// the reference's unblocked cross join, so for them blocked links must
+// equal the cross join on every surface; the random-rule test prints how
+// many rules were planned. PinnedRuleBlockedEqualsCrossJoin does the
+// same for a copy of the benchmark's pinned person rule, whose
+// removeDashes phone comparison token blocking cannot see through.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <span>
 #include <string>
@@ -24,6 +32,7 @@
 #include "api/matcher_index.h"
 #include "common/random.h"
 #include "datasets/restaurant.h"
+#include "datasets/synthetic.h"
 #include "distance/registry.h"
 #include "gp/compatible_properties.h"
 #include "gp/rule_generator.h"
@@ -221,6 +230,7 @@ TEST_F(ScorerOracleTest, RandomRulesMatchReferenceOnEverySurface) {
                                 task_.a.schema().property_names(), config);
   const double thresholds[] = {0.5, 0.25, 0.05};
   size_t linked_rules = 0;
+  size_t planned_rules = 0;
   for (size_t i = 0; i < kRandomRules; ++i) {
     const LinkageRule rule = RandomNestedRule(generator, i, rng);
     MatchOptions options;
@@ -228,6 +238,10 @@ TEST_F(ScorerOracleTest, RandomRulesMatchReferenceOnEverySurface) {
     options.threshold = thresholds[i % 3];
     options.best_match_only = i % 5 == 0;
     options.use_blocking = i % 4 != 1;
+    if (options.use_blocking &&
+        DeriveFilterPlan(rule, options.threshold).has_value()) {
+      ++planned_rules;
+    }
     if (CheckRule(rule, options, /*check_full_join=*/i % 25 == 0,
                   "rule " + std::to_string(i))) {
       ++linked_rules;
@@ -237,8 +251,101 @@ TEST_F(ScorerOracleTest, RandomRulesMatchReferenceOnEverySurface) {
       return;
     }
   }
-  // Not vacuous: most random rules link something for these queries.
+  // Not vacuous: most random rules link something for these queries,
+  // and some blocked rules take their candidates from a filter plan.
   EXPECT_GE(linked_rules, kRandomRules / 4);
+  std::printf("planned rules: %zu of %zu\n", planned_rules, kRandomRules);
+  EXPECT_GE(planned_rules, 10u);
+}
+
+// perfbench's pinned rule (perfbench/common.cc PinnedRule), copied:
+// an exact phone match after removeDashes, or a name within two edits
+// together with a phone within four. Its plan is an exact phone lookup
+// plus a name q-gram probe; blocked links must equal the cross join on
+// the full join and on every query surface.
+TEST(PinnedRuleTest, PinnedRuleBlockedEqualsCrossJoin) {
+  const auto name = [] {
+    return Prop("name").Transform("stripPunctuation").Lower();
+  };
+  const auto phone = [] { return Prop("phone").Transform("removeDashes"); };
+  auto built = RuleBuilder()
+                   .Aggregate("max")
+                   .Compare("levenshtein", 1.0, phone(), phone())
+                   .Aggregate("min")
+                   .Compare("levenshtein", 4.0, name(), name())
+                   .Compare("levenshtein", 8.0, phone(), phone())
+                   .End()
+                   .End()
+                   .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const LinkageRule rule = std::move(built).value();
+  const auto plan = DeriveFilterPlan(rule, 0.5);
+  ASSERT_TRUE(plan.has_value());
+  ASSERT_EQ(plan->probes.size(), 2u);
+
+  SyntheticConfig config;
+  config.num_entities = 1200;
+  config.seed = 7;
+  const MatchingTask task = GenerateSynthetic(config);
+  MatchOptions blocked;
+  blocked.num_threads = 2;
+  MatchOptions cross = blocked;
+  cross.use_blocking = false;
+
+  const auto index = MatcherIndex::Build(task.a, task.b, rule, blocked);
+  ASSERT_NE(index->filter_plan(), nullptr);
+  const auto links = index->MatchDataset();
+  const auto cross_links =
+      MatcherIndex::Build(task.a, task.b, rule, cross)->MatchDataset();
+  ASSERT_GT(cross_links.size(), 100u);
+  ExpectSameLinks(links, cross_links, "pinned full join");
+
+  // Query surfaces over the target: dataset, mapped and live, against
+  // the reference (a cross join for a planned rule).
+  const ReferenceMatcher reference(rule, task.b, blocked);
+  const std::string path = ::testing::TempDir() + "scorer_oracle_pinned.glidx";
+  ASSERT_TRUE(WriteCorpusArtifact(path, task.b, rule, blocked).ok());
+  auto mapped = MappedCorpus::Load(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  auto mapped_index = MatcherIndex::Build(*mapped, rule, blocked);
+  ASSERT_TRUE(mapped_index.ok()) << mapped_index.status().ToString();
+  const auto serving = MatcherIndex::Build(task.b, rule, blocked);
+  // The live corpus starts from the first half of the target; the
+  // second half arrives as upserts.
+  Dataset base("pinned-base");
+  for (const std::string& property : task.b.schema().property_names()) {
+    base.schema().AddProperty(property);
+  }
+  std::vector<LiveOp> upserts;
+  for (size_t i = 0; i < task.b.size(); ++i) {
+    if (i < task.b.size() / 2) {
+      ASSERT_TRUE(base.AddEntity(task.b.entity(i)).ok());
+    } else {
+      LiveOp op;
+      op.entity = task.b.entity(i);
+      upserts.push_back(std::move(op));
+    }
+  }
+  auto live = LiveCorpus::Create(base, rule, blocked);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  ASSERT_TRUE((*live)->ApplyBatch(upserts, task.b.schema()).ok());
+
+  size_t linked = 0;
+  for (size_t q = 0; q < task.a.size(); q += 15) {
+    const Entity& query = task.a.entity(q);
+    const auto expected =
+        reference.MatchEntity(query, task.a.schema(), /*skip_own_id=*/true);
+    linked += expected.empty() ? 0 : 1;
+    const std::string label = "pinned query " + query.id();
+    ExpectSameLinks(serving->MatchEntity(query, task.a.schema()), expected,
+                    label + " dataset");
+    ExpectSameLinks((*mapped_index)->MatchEntity(query, task.a.schema()),
+                    expected, label + " mapped");
+    ExpectSameLinks((*live)->MatchEntity(query, task.a.schema()), expected,
+                    label + " live");
+  }
+  EXPECT_GT(linked, 10u);
+  std::remove(path.c_str());
 }
 
 }  // namespace
