@@ -1,24 +1,28 @@
-// Full-dataset matching throughput on Restaurant (the CLI `match` /
+// Matcher throughput bench (the full self-join over a data set, the
 // `learn --match` scenario): a per-pair operator-tree baseline
 // (LinkageRule::Evaluate over the same candidates, in this file) vs
 // GenerateLinks, which scores through the value store
-// (eval/value_store.h), with blocking and over the exhaustive cross
-// product, at one worker thread. The rule has a filter plan
-// (matcher/rule_filter.h), so its blocked candidates come from the
-// rule's own comparisons.
+// (eval/value_store.h), with token blocking and over the exhaustive
+// cross product, at one worker thread.
+//
+// The rule has a filter plan (matcher/rule_filter.h), which leaves
+// about one candidate per record, too few to time a scorer by. The
+// token-blocked family therefore scores an unplanned copy of the rule
+// (the same comparisons under a weighted mean: the same value plans and
+// target properties, so the same token candidates), and the planned
+// rule's blocked join is its own `matcher/value-store/filter` record.
 //
 // Doubles as a CI gate: the two paths must produce bit-identical link
-// sets (ids, scores and order), and the blocked links must equal the
+// sets (ids, scores and order), and the filter's links must equal the
 // cross join (`links_equal_cross_join`, held at 1.0 in CI); any
 // divergence exits non-zero.
 //
 // Emits BENCH_matcher_throughput.json; `extra.pairs_per_second` is the
 // regression metric tools/compare_bench_json.py tracks,
 // `extra.speedup_vs_operator_tree` the machine-independent ratio of the
-// two scorers over the same candidates, and
-// `extra.candidates_per_query` the pairs scored per source record. The
-// filter leaves the blocked family about one candidate per record at
-// smoke scale, so its times are mostly the index build.
+// two scorers over the same candidates (>= 5x at 1 thread was the
+// value store's target on the token-blocked config), and
+// `extra.candidates_per_query` the pairs scored per source record.
 //
 // A second dataset, the synthetic person corpus under perfbench's
 // pinned rule (2k x 2k at smoke scale, 20k x 20k above), reports the
@@ -47,20 +51,23 @@ namespace {
 
 struct PathMeasurement {
   std::string system;
+  const LinkageRule* rule = nullptr;
   bool use_blocking = true;
   bool operator_tree = false;
-  double seconds = 0.0;
   size_t pairs = 0;
+  double seconds = 0.0;
   std::vector<GeneratedLink> links = {};
 };
 
 // A representative learned rule: transform chains on both comparisons
 // (tokenize feeds a set measure, lowercase feeds an edit distance), so
 // the operator-tree path pays per-pair transformation costs the way a
-// real learned rule does.
-LinkageRule MatchRule() {
+// real learned rule does. Under "min" it has a filter plan (the address
+// comparison's); under "wmean" the jaccard operand has no filter, so
+// the rule has none and takes token blocking.
+LinkageRule MatchRule(const char* aggregation) {
   auto rule = RuleBuilder()
-                  .Aggregate("min")
+                  .Aggregate(aggregation)
                   .Compare("jaccard", 0.8, Prop("name").Lower().Tokenize(),
                            Prop("name").Lower().Tokenize())
                   .Compare("levenshtein", 3.0, Prop("address").Lower(),
@@ -78,20 +85,28 @@ LinkageRule MatchRule() {
 // The operator-tree baseline: GenerateLinks' self-join (each pair once,
 // id_a < id_b, sorted by score, id_a, id_b) with every candidate pair
 // scored by LinkageRule::Evaluate, so transformations run per pair.
-// Candidates come from the same generator GenerateLinks uses
-// (MatcherIndex::Candidates), and its build is timed here as it is
+// Candidates come from the same TokenBlockingIndex GenerateLinks
+// builds for an unplanned rule, and its build is timed here as it is
 // there.
 std::vector<GeneratedLink> OperatorTreeSelfJoin(const LinkageRule& rule,
                                                 const Dataset& data,
                                                 const MatchOptions& options) {
-  const auto index = MatcherIndex::Build(data, rule, options);
+  std::unique_ptr<TokenBlockingIndex> index;
+  if (options.use_blocking) {
+    index = std::make_unique<TokenBlockingIndex>(data, TargetProperties(rule));
+  }
   std::vector<GeneratedLink> links;
   for (const Entity& a : data.entities()) {
-    for (size_t j : index->Candidates(a, data.schema())) {
+    auto consider = [&](size_t j) {
       const Entity& b = data.entity(j);
-      if (a.id() >= b.id()) continue;
+      if (a.id() >= b.id()) return;
       const double score = rule.Evaluate(a, b, data.schema(), data.schema());
       if (score >= options.threshold) links.push_back({a.id(), b.id(), score});
+    };
+    if (index != nullptr) {
+      for (size_t j : index->Candidates(a, data.schema())) consider(j);
+    } else {
+      for (size_t j = 0; j < data.size(); ++j) consider(j);
     }
   }
   std::sort(links.begin(), links.end(), [](const auto& x, const auto& y) {
@@ -213,47 +228,59 @@ int main() {
   RestaurantConfig data;
   data.scale = scale.name == "smoke" ? 0.3 : 1.0;
   MatchingTask task = GenerateRestaurant(data);
-  LinkageRule rule = MatchRule();
+  const LinkageRule planned_rule = MatchRule("min");
+  const LinkageRule token_rule = MatchRule("wmean");
+  const double records_n = static_cast<double>(task.a.size());
 
-  // Candidate-pair counts per family, for the throughput metric: the
-  // blocked paths evaluate the blocking candidates, the exhaustive
-  // paths the full self cross product.
   MatchOptions blocked_options;
   blocked_options.num_threads = 1;
-  const auto index = MatcherIndex::Build(task.a, rule, blocked_options);
-  const bool planned = index->filter_plan() != nullptr;
-  size_t blocked_pairs = 0;
-  for (size_t i = 0; i < task.a.size(); ++i) {
-    blocked_pairs += index->Candidates(task.a.entity(i), task.a.schema()).size();
+  const auto filter_index =
+      MatcherIndex::Build(task.a, planned_rule, blocked_options);
+  const auto token_index =
+      MatcherIndex::Build(task.a, token_rule, blocked_options);
+  if (filter_index->filter_plan() == nullptr ||
+      token_index->filter_plan() != nullptr) {
+    std::fprintf(stderr,
+                 "ERROR: the min rule must have a filter plan and the wmean "
+                 "copy none\n");
+    return 1;
+  }
+
+  // Candidate-pair counts per family, for the throughput metric: the
+  // token-blocked paths evaluate the token candidates, the exhaustive
+  // paths the full self cross product, the filter path its plan's
+  // candidates.
+  size_t token_pairs = 0;
+  size_t filter_pairs = 0;
+  for (const Entity& entity : task.a.entities()) {
+    token_pairs += token_index->Candidates(entity, task.a.schema()).size();
+    filter_pairs += filter_index->Candidates(entity, task.a.schema()).size();
   }
   const size_t cross_pairs = task.a.size() * task.a.size();
-  const double candidates_per_query =
-      static_cast<double>(blocked_pairs) / static_cast<double>(task.a.size());
-  std::printf("restaurant: %zu records, %zu blocked (%.1f per query, %s) / "
-              "%zu cross candidate pairs\n",
-              task.a.size(), blocked_pairs, candidates_per_query,
-              planned ? "filter plan" : "token blocking", cross_pairs);
+  std::printf("restaurant: %zu records, %zu token-blocked / %zu filter / %zu "
+              "cross candidate pairs\n",
+              task.a.size(), token_pairs, filter_pairs, cross_pairs);
 
   // Best-of-3 even at smoke scale: single-sample wall times on a
   // millisecond-long join are too noisy for the CI ratio gate.
   const size_t reps = 3;
   std::vector<PathMeasurement> runs = {
-      {"matcher/operator-tree/blocking", true, true},
-      {"matcher/value-store/blocking", true, false},
-      {"matcher/operator-tree/cross", false, true},
-      {"matcher/value-store/cross", false, false},
+      {"matcher/operator-tree/blocking", &token_rule, true, true, token_pairs},
+      {"matcher/value-store/blocking", &token_rule, true, false, token_pairs},
+      {"matcher/operator-tree/cross", &planned_rule, false, true, cross_pairs},
+      {"matcher/value-store/cross", &planned_rule, false, false, cross_pairs},
+      {"matcher/value-store/filter", &planned_rule, true, false, filter_pairs},
   };
   for (PathMeasurement& run : runs) {
     MatchOptions options;
     options.use_blocking = run.use_blocking;
     options.num_threads = 1;
-    run.pairs = run.use_blocking ? blocked_pairs : cross_pairs;
     double best = 0.0;
     for (size_t r = 0; r < reps; ++r) {
       auto start = std::chrono::steady_clock::now();
       auto links = run.operator_tree
-                       ? OperatorTreeSelfJoin(rule, task.a, options)
-                       : GenerateLinks(rule, task.a, task.a, options);
+                       ? OperatorTreeSelfJoin(*run.rule, task.a, options)
+                       : GenerateLinks(*run.rule, task.a, task.a, options);
       double elapsed = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)
                            .count();
@@ -268,26 +295,28 @@ int main() {
   }
 
   // Bit-identity gate: value-store links == operator-tree links, per
-  // blocking family; and blocking loses no link of the cross join.
+  // family over the same candidates; and the filter loses no link of
+  // the cross join.
   bool identical = SameLinks(runs[0].links, runs[1].links) &&
                    SameLinks(runs[2].links, runs[3].links) &&
-                   !runs[1].links.empty();
+                   !runs[1].links.empty() && !runs[3].links.empty();
   if (!identical) {
     std::fprintf(stderr,
                  "ERROR: value-store links differ from operator-tree links "
                  "(or no links were generated)\n");
   }
-  const bool equal_cross_join = SameLinks(runs[1].links, runs[3].links);
+  const bool equal_cross_join = SameLinks(runs[4].links, runs[3].links);
   if (!equal_cross_join) {
     std::fprintf(stderr,
-                 "ERROR: blocked links (%zu) differ from the cross join "
+                 "ERROR: filter links (%zu) differ from the cross join "
                  "(%zu)\n",
-                 runs[1].links.size(), runs[3].links.size());
+                 runs[4].links.size(), runs[3].links.size());
   }
 
-  auto operator_tree_seconds = [&](bool use_blocking) {
+  auto operator_tree_seconds = [&](const PathMeasurement& of) {
     for (const PathMeasurement& run : runs) {
-      if (run.use_blocking == use_blocking && run.operator_tree) {
+      if (run.operator_tree && run.rule == of.rule &&
+          run.use_blocking == of.use_blocking) {
         return run.seconds;
       }
     }
@@ -302,20 +331,26 @@ int main() {
     record.data_scale = data.scale;
     record.runs = reps;
     record.seconds = {run.seconds, 0.0};
-    const double baseline = operator_tree_seconds(run.use_blocking);
     record.extra = {
         {"threads", 1.0},
         {"pairs", static_cast<double>(run.pairs)},
         {"links", static_cast<double>(run.links.size())},
-        {"pairs_per_second",
-         run.seconds > 0.0 ? static_cast<double>(run.pairs) / run.seconds : 0.0},
-        {"speedup_vs_operator_tree",
-         run.seconds > 0.0 ? baseline / run.seconds : 0.0},
-        {"links_identical", identical ? 1.0 : 0.0},
-        {"links_equal_cross_join", equal_cross_join ? 1.0 : 0.0},
-        {"candidates_per_query",
-         static_cast<double>(run.pairs) / static_cast<double>(task.a.size())},
+        {"candidates_per_query", static_cast<double>(run.pairs) / records_n},
     };
+    const double baseline = operator_tree_seconds(run);
+    if (baseline > 0.0) {
+      // A scorer pair over the same candidates.
+      record.extra.push_back(
+          {"pairs_per_second",
+           run.seconds > 0.0 ? static_cast<double>(run.pairs) / run.seconds
+                             : 0.0});
+      record.extra.push_back({"speedup_vs_operator_tree",
+                              run.seconds > 0.0 ? baseline / run.seconds : 0.0});
+      record.extra.push_back({"links_identical", identical ? 1.0 : 0.0});
+    } else {
+      record.extra.push_back(
+          {"links_equal_cross_join", equal_cross_join ? 1.0 : 0.0});
+    }
     records.push_back(std::move(record));
   }
   bool person_equal_cross_join = false;
@@ -327,14 +362,12 @@ int main() {
   }
   WriteBenchJson("matcher_throughput", scale, records);
 
-  for (bool blocking : {true, false}) {
-    for (const PathMeasurement& run : runs) {
-      if (run.use_blocking == blocking && !run.operator_tree &&
-          run.seconds > 0.0) {
-        std::printf("value-store speedup (%s): %.2fx\n",
-                    blocking ? "blocking" : "cross",
-                    operator_tree_seconds(blocking) / run.seconds);
-      }
+  for (const PathMeasurement& run : runs) {
+    const double baseline = operator_tree_seconds(run);
+    if (!run.operator_tree && baseline > 0.0 && run.seconds > 0.0) {
+      std::printf("value-store speedup (%s): %.2fx\n",
+                  run.use_blocking ? "token blocking" : "cross",
+                  baseline / run.seconds);
     }
   }
   return identical && equal_cross_join && person_equal_cross_join ? 0 : 1;

@@ -238,45 +238,39 @@ Status MatcherIndex::CompileLocked() {
 void MatcherIndex::BuildFilterLocked(FilterPlan plan) {
   Corpus& corpus = *corpus_;
   corpus.mutex.AssertWriterHeld();
-  // Each probe's column: the artifact's own, else the corpus cache, else
-  // built here and cached. A probe with a bound above 0 needs a column
-  // with q-gram postings; a column is built with them when any probe of
-  // the plan on its target plan needs them. Built on the calling thread:
-  // the build's transient buffers would otherwise stay resident in the
-  // allocator arenas of pool workers.
-  std::map<PlanId, bool> needs_grams;
-  for (const FilterProbe& probe : plan.probes) {
-    needs_grams[query_sites_[probe.comparison].target_plan] |= probe.bound > 0;
-  }
-  std::vector<std::shared_ptr<const FilterColumn>> columns;
-  for (const FilterProbe& probe : plan.probes) {
-    const PlanId target_plan = query_sites_[probe.comparison].target_plan;
-    const bool grams = needs_grams[target_plan];
-    const FilterColumn* mapped_column =
-        corpus.mapped != nullptr ? corpus.mapped->filter_column(target_plan)
-                                 : nullptr;
-    if (mapped_column != nullptr && (mapped_column->has_grams() || !grams)) {
-      // Aliasing shared_ptr: the column lives inside the mapped corpus.
-      columns.emplace_back(corpus.mapped, mapped_column);
-      continue;
-    }
-    auto& slot = corpus.filter_columns[target_plan];
-    if (slot == nullptr || (grams && !slot->has_grams())) {
-      slot = FilterColumn::Build(
-          corpus.target_size(),
-          [&](size_t row, std::vector<std::string_view>& out) {
-            for (ValueId id :
-                 reader_->Values(ValueReader::Side::kTarget, target_plan, row)) {
-              out.push_back(reader_->View(id));
-            }
-          },
-          grams);
-    }
-    columns.push_back(slot);
-  }
-  filter_ = std::make_shared<const FilterIndex>(std::move(plan),
-                                                std::move(columns),
-                                                corpus.target_size());
+  // One column per target plan a probe reads (FilterColumnNeeds): the
+  // artifact's own, else the corpus cache, else built here and cached.
+  // A column without q-gram postings cannot serve a need for them.
+  // Built on the calling thread: the build's transient buffers would
+  // otherwise stay resident in the allocator arenas of pool workers.
+  filter_ = FilterIndex::Build(
+      std::move(plan), corpus.target_size(),
+      [&](size_t k) { return query_sites_[k].target_plan; },
+      [&](const FilterColumnNeed& need)
+          -> std::shared_ptr<const FilterColumn> {
+        const PlanId target_plan = static_cast<PlanId>(need.column);
+        const FilterColumn* mapped_column =
+            corpus.mapped != nullptr ? corpus.mapped->filter_column(target_plan)
+                                     : nullptr;
+        if (mapped_column != nullptr &&
+            (mapped_column->has_grams() || !need.grams)) {
+          // Aliasing shared_ptr: the column lives inside the mapped corpus.
+          return {corpus.mapped, mapped_column};
+        }
+        auto& slot = corpus.filter_columns[target_plan];
+        if (slot == nullptr || (need.grams && !slot->has_grams())) {
+          slot = FilterColumn::Build(
+              corpus.target_size(),
+              [&](size_t row, std::vector<std::string_view>& out) {
+                for (ValueId id : reader_->Values(ValueReader::Side::kTarget,
+                                                  target_plan, row)) {
+                  out.push_back(reader_->View(id));
+                }
+              },
+              need.grams);
+        }
+        return slot;
+      });
 }
 
 Status MatcherIndex::CompileMappedLocked(

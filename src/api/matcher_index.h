@@ -313,8 +313,8 @@ class MatcherIndex {
   /// instead of building.
   Status CompileMappedLocked(const std::optional<FilterPlan>& plan);
   /// Builds filter_ for `plan` over the target plans of query_sites_:
-  /// each probe's column comes from the artifact when it carries one,
-  /// else from the corpus cache, else is built and cached.
+  /// each column (FilterColumnNeeds) comes from the artifact when it
+  /// carries one, else from the corpus cache, else is built and cached.
   void BuildFilterLocked(FilterPlan plan);
   /// Builds query_ops_ and query_sites_ for rule_'s comparisons in
   /// pre-order, resolving each target subtree to the reader_ plan keyed

@@ -383,15 +383,14 @@ Status WriteCorpusArtifact(const std::string& path, const Dataset& target,
       options.use_blocking ? DeriveFilterPlan(rule, options.threshold)
                            : std::nullopt;
   if (filter_plan.has_value()) {
-    // Plan -> whether a probe on it needs q-gram postings (bound > 0).
-    std::map<PlanId, bool> column_plans;
-    for (const FilterProbe& probe : filter_plan->probes) {
-      const PlanId plan = *store.FindPlan(
+    const auto column_of = [&](size_t k) -> uint64_t {
+      return *store.FindPlan(
           ValueStore::Side::kTarget,
-          ValueOperatorHash(*info.comparisons[probe.comparison].op->target()));
-      column_plans[plan] |= probe.bound > 0;
-    }
-    for (const auto& [plan, grams] : column_plans) {
+          ValueOperatorHash(*info.comparisons[k].op->target()));
+    };
+    for (const FilterColumnNeed& need :
+         FilterColumnNeeds(*filter_plan, column_of)) {
+      const PlanId plan = static_cast<PlanId>(need.column);
       const auto column = FilterColumn::Build(
           n,
           [&](size_t row, std::vector<std::string_view>& out) {
@@ -399,7 +398,7 @@ Status WriteCorpusArtifact(const std::string& path, const Dataset& target,
               out.push_back(store.View(id));
             }
           },
-          grams);
+          need.grams);
       filter_dir.push_back({plan, filter_words.size(), column->words().size()});
       filter_words.insert(filter_words.end(), column->words().begin(),
                           column->words().end());

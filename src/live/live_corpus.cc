@@ -473,23 +473,23 @@ void LiveCorpus::PublishLocked() {
     if (delta_dead_[slot] == 0) live->push_back(static_cast<uint32_t>(slot));
   }
   if (const FilterPlan* plan = base_index_->filter_plan()) {
-    // One column per probe over the delta rows (dead rows contribute no
-    // values), with q-gram postings when the probe's bound is above 0.
-    std::vector<std::shared_ptr<const FilterColumn>> columns;
-    for (const FilterProbe& probe : plan->probes) {
-      columns.push_back(FilterColumn::Build(
-          snap->delta.count,
-          [&](size_t row, std::vector<std::string_view>& out) {
-            if (delta_dead_[row] != 0) return;
-            for (const std::string& value :
-                 snap->delta.entry(row).site_values[probe.comparison]) {
-              out.push_back(value);
-            }
-          },
-          probe.bound > 0));
-    }
-    snap->filter = std::make_shared<const FilterIndex>(*plan, std::move(columns),
-                                                       snap->delta.count);
+    // The delta keeps its values per comparison, so each comparison is
+    // its own column over the delta rows (dead rows contribute no
+    // values).
+    snap->filter = FilterIndex::Build(
+        *plan, snap->delta.count, [](size_t k) { return k; },
+        [&](const FilterColumnNeed& need) {
+          return FilterColumn::Build(
+              snap->delta.count,
+              [&](size_t row, std::vector<std::string_view>& out) {
+                if (delta_dead_[row] != 0) return;
+                for (const std::string& value :
+                     snap->delta.entry(row).site_values[need.column]) {
+                  out.push_back(value);
+                }
+              },
+              need.grams);
+        });
   } else if (base_index_->options().use_blocking) {
     auto postings = std::make_shared<
         std::unordered_map<std::string, std::vector<uint32_t>>>();

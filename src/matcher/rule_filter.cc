@@ -15,6 +15,12 @@ namespace {
 
 // ------------------------------------------------------------ the plan
 
+/// Smallest wmean weight a planned rule may carry. Below it a product
+/// w*s can leave the normal range, where rounding is no longer relative
+/// (with w = 5e-324, every w*0.6 rounds up to w, so the mean reads 1.0
+/// while no operand reaches t).
+constexpr double kMinPlannedWeight = 0x1p-900;
+
 /// A subtree's filter: nullopt when it has none, an empty list when it
 /// can never reach the threshold.
 using Probes = std::optional<std::vector<FilterProbe>>;
@@ -49,14 +55,15 @@ Probes DeriveFrom(const SimilarityOperator& node, double min_score,
   double operand_min = min_score;
   if (function == "wmean") {
     for (const auto& op : operands) {
-      if (!(op->weight() > 0.0) || !std::isfinite(op->weight())) {
+      if (!(op->weight() >= kMinPlannedWeight) || !std::isfinite(op->weight())) {
         return std::nullopt;
       }
     }
     // A weighted mean of positive weights reaches t only if some operand
     // does. The computed mean rounds each product, the two sums and the
     // quotient; relaxing t by far more than that error keeps the union
-    // lossless.
+    // lossless. The relative error bound only holds while no product
+    // underflows, hence the weight floor.
     operand_min =
         min_score * (1.0 - static_cast<double>(operands.size() + 3) * 0x1p-50);
   } else if (function != "min" && function != "max") {
@@ -491,6 +498,37 @@ void FilterColumn::Probe(std::string_view query, int bound,
       EmitRows(v, emit);
     }
   }
+}
+
+std::vector<FilterColumnNeed> FilterColumnNeeds(const FilterPlan& plan,
+                                                const ColumnOf& column_of) {
+  std::vector<FilterColumnNeed> needs;
+  for (const FilterProbe& probe : plan.probes) {
+    const uint64_t column = column_of(probe.comparison);
+    auto it = std::lower_bound(
+        needs.begin(), needs.end(), column,
+        [](const FilterColumnNeed& need, uint64_t key) { return need.column < key; });
+    if (it == needs.end() || it->column != column) {
+      it = needs.insert(it, {column, false});
+    }
+    it->grams |= probe.bound > 0;
+  }
+  return needs;
+}
+
+std::shared_ptr<const FilterIndex> FilterIndex::Build(
+    FilterPlan plan, size_t rows, const ColumnOf& column_of,
+    const ColumnSource& source) {
+  std::unordered_map<uint64_t, std::shared_ptr<const FilterColumn>> by_key;
+  for (const FilterColumnNeed& need : FilterColumnNeeds(plan, column_of)) {
+    by_key[need.column] = source(need);
+  }
+  std::vector<std::shared_ptr<const FilterColumn>> columns;
+  for (const FilterProbe& probe : plan.probes) {
+    columns.push_back(by_key.at(column_of(probe.comparison)));
+  }
+  return std::shared_ptr<const FilterIndex>(
+      new FilterIndex(std::move(plan), std::move(columns), rows));
 }
 
 FilterIndex::FilterIndex(FilterPlan plan,

@@ -14,7 +14,8 @@
 //       - a comparison needs ThresholdedScore(d, θ) >= t; its bound is
 //         the largest such integer d (MaxPassingDistance, from the
 //         exact double predicate);
-//       - `max` and `wmean` (every weight > 0) take the union of their
+//       - `max` and `wmean` (every weight >= 2^-900, so no weighted
+//         score underflows) take the union of their
 //         operands' probes: the aggregate reaches t only if some
 //         operand does (wmean operands against t relaxed by a few ulps,
 //         so the rounding of the weighted sum cannot defeat that);
@@ -40,6 +41,9 @@
 //     generator of every index that serves a planned rule —
 //     MatcherIndex (api/matcher_index.h) over its target plans, and the
 //     live corpus (live/live_corpus.h) over its delta rows.
+//     FilterColumnNeeds decides which columns a plan reads and which
+//     need q-gram postings, for those indexes and for the columns a
+//     corpus artifact stores.
 //
 // Losslessness: a pair the rule scores >= t is always a candidate, so
 // blocked links equal the unblocked cross join (tests/
@@ -156,15 +160,37 @@ class FilterColumn {
 /// Comparison k's query-side values.
 using QueryViews = std::function<std::span<const std::string_view>(size_t k)>;
 
+/// The key of the column that holds comparison k's target values; probes
+/// whose comparisons map to one key share one column.
+using ColumnOf = std::function<uint64_t(size_t k)>;
+
+/// One column a plan reads, and whether it needs q-gram postings: true
+/// when any probe on it has a bound above 0.
+struct FilterColumnNeed {
+  uint64_t column = 0;
+  bool grams = false;
+};
+
+/// The distinct columns `plan` reads, ascending by key. The one place
+/// that decides which columns an index over a plan holds, for every
+/// index built in process and for the columns a corpus artifact stores.
+std::vector<FilterColumnNeed> FilterColumnNeeds(const FilterPlan& plan,
+                                                const ColumnOf& column_of);
+
+/// The column with key `need.column` over the index's rows, with q-gram
+/// postings when `need.grams`.
+using ColumnSource = std::function<std::shared_ptr<const FilterColumn>(
+    const FilterColumnNeed& need)>;
+
 /// A filter plan over one column per probe: the candidate generator of
 /// a planned rule. Immutable and safe to query concurrently.
 class FilterIndex {
  public:
-  /// `columns[i]` indexes the target values of plan.probes[i]'s
-  /// comparison over rows [0, rows).
-  FilterIndex(FilterPlan plan,
-              std::vector<std::shared_ptr<const FilterColumn>> columns,
-              size_t rows);
+  /// The index over rows [0, rows): each column FilterColumnNeeds names
+  /// is taken once from `source`, on the calling thread.
+  static std::shared_ptr<const FilterIndex> Build(FilterPlan plan, size_t rows,
+                                                  const ColumnOf& column_of,
+                                                  const ColumnSource& source);
 
   /// The rows any probe admits for a query whose comparison-k values
   /// are `query(k)`: distinct, ascending.
@@ -176,6 +202,9 @@ class FilterIndex {
   size_t NumPostings() const;
 
  private:
+  FilterIndex(FilterPlan plan,
+              std::vector<std::shared_ptr<const FilterColumn>> columns,
+              size_t rows);
   /// columns_ without repeats (probes may share a column).
   std::vector<const FilterColumn*> DistinctColumns() const;
 

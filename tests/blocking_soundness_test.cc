@@ -424,6 +424,18 @@ TEST(RuleFilterSoundnessTest, PlanShapes) {
   EXPECT_TRUE(DeriveFilterPlan(*zero_weight, 0.5).has_value());
   CollectComparisons(*zero_weight)[0]->set_weight(0.0);
   EXPECT_FALSE(DeriveFilterPlan(*zero_weight, 0.5).has_value());
+  // Subnormal weights: each w*0.6 rounds up to w = 5e-324, so the mean
+  // of two operands scoring 0.6 reads 1.0 and passes t = 0.9 although
+  // neither operand does. Such a rule has no plan; at the 2^-900 floor
+  // no product underflows and the plan stands.
+  for (ComparisonOperator* cmp : CollectComparisons(*zero_weight)) {
+    cmp->set_weight(5e-324);
+  }
+  EXPECT_FALSE(DeriveFilterPlan(*zero_weight, 0.9).has_value());
+  for (ComparisonOperator* cmp : CollectComparisons(*zero_weight)) {
+    cmp->set_weight(0x1p-900);
+  }
+  EXPECT_TRUE(DeriveFilterPlan(*zero_weight, 0.9).has_value());
   // A comparison that can never reach t leaves an empty plan (no
   // candidates) rather than no plan.
   plan = DeriveFilterPlan(*single, 1.5);
